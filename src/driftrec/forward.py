@@ -8,8 +8,12 @@ One backward-Euler step of the discrete scheme reads, row by row,
     i = m:        (u_m - u_{m-1})/h = b2(t_n)
 
 with d1, d2 the centered first/second differences.  The matrix does not
-depend on time, so it is assembled and factorized once per solve and the
-factorization reused for every step.
+depend on time, so each solve factorizes it once with LAPACK `dgttrf` and
+calls `dgttrs` once per step.  Row 0 is first eliminated from row 1 by one
+plain Thomas step: left to itself, `dgttrf`'s partial pivoting swaps the
+flux row (-1/h, 1/h) with row 1 (entries ~1/h^2), which lifts the
+steady-state deviation of acceptance criterion 1 from 1.3e-15 to 1.5e-12,
+over its 1e-12 bound.  The remaining rows may still pivot.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConfigurationError, NumericalError, SingularSystemError
 from .model import GridFunction, GridPair, ProblemSpec, SpaceTimeField, _readonly, sample_on
@@ -28,8 +33,9 @@ PIVOT_FLOOR = 1e-300
 class TridiagonalSystem:
     """Banded storage of one linear step: lower/diag/upper bands plus rhs.
 
-    For order n the bands have lengths n-1, n, n-1; lower[k] sits in row
-    k+1 and upper[k] in row k.
+    For order n >= 3 the bands have lengths n-1, n, n-1; lower[k] sits in
+    row k+1 and upper[k] in row k.  (scipy's `dgttrf` wrapper rejects
+    order 2, and every step matrix has order m + 1 >= 4.)
     """
 
     lower: np.ndarray
@@ -43,10 +49,10 @@ class TridiagonalSystem:
         up = np.asarray(self.upper, dtype=float)
         r = np.asarray(self.rhs, dtype=float)
         n = dg.size
-        if n < 2 or lo.shape != (n - 1,) or up.shape != (n - 1,) or r.shape != (n,):
+        if n < 3 or lo.shape != (n - 1,) or up.shape != (n - 1,) or r.shape != (n,):
             raise ConfigurationError(
-                f"inconsistent band lengths: lower {lo.shape}, diag {dg.shape}, "
-                f"upper {up.shape}, rhs {r.shape}"
+                f"bands need lengths n-1, n, n-1 and order n >= 3: lower {lo.shape}, "
+                f"diag {dg.shape}, upper {up.shape}, rhs {r.shape}"
             )
         object.__setattr__(self, "lower", _readonly(lo))
         object.__setattr__(self, "diag", _readonly(dg))
@@ -90,47 +96,37 @@ def assemble_step_matrix(spec: ProblemSpec, drift: GridFunction, grids: GridPair
     return TridiagonalSystem(lower, diag, upper, np.zeros(m + 1))
 
 
-def _thomas_factor(lower, diag, upper):
-    """Forward-elimination pass; returns reusable multiplier arrays.
+def _lu_factor(lower, diag, upper):
+    """Eliminate row 0 from row 1 without pivoting, then LU-factor with `dgttrf`.
 
-    Plain Python lists are noticeably faster than ndarray indexing in the
-    sequential sweeps, and the float arithmetic is identical.
+    A pivot below PIVOT_FLOOR in any row, dgttrf's exact zeros (info > 0)
+    included, raises SingularSystemError naming the row.
     """
-    lo = [float(v) for v in lower]
-    dg = [float(v) for v in diag]
-    up = [float(v) for v in upper]
-    n = len(dg)
-    w = [0.0] * n
-    cp = [0.0] * (n - 1)
-    piv = dg[0]
-    if abs(piv) < PIVOT_FLOOR:
+    if abs(diag[0]) < PIVOT_FLOOR:
         raise SingularSystemError("zero pivot in row 0")
-    w[0] = piv
-    for i in range(1, n):
-        cp[i - 1] = up[i - 1] / w[i - 1]
-        piv = dg[i] - lo[i - 1] * cp[i - 1]
-        if abs(piv) < PIVOT_FLOOR:
-            raise SingularSystemError(f"zero pivot in row {i}")
-        w[i] = piv
-    return lo, w, cp
+    mult = lower[0] / diag[0]
+    lo = np.array(lower, dtype=float)
+    dg = np.array(diag, dtype=float)
+    lo[0] = 0.0
+    dg[1] -= mult * upper[0]
+    dl, d, du, du2, ipiv, _ = dgttrf(lo, dg, upper, overwrite_dl=1, overwrite_d=1)
+    tiny = np.flatnonzero(np.abs(d) < PIVOT_FLOOR)
+    if tiny.size:
+        raise SingularSystemError(f"zero pivot in row {tiny[0]}")
+    return mult, (dl, d, du, du2, ipiv)
 
 
-def _thomas_apply(factor, rhs) -> np.ndarray:
-    lo, w, cp = factor
-    n = len(w)
-    r = [float(v) for v in rhs]
-    y = [0.0] * n
-    y[0] = r[0] / w[0]
-    for i in range(1, n):
-        y[i] = (r[i] - lo[i - 1] * y[i - 1]) / w[i]
-    for i in range(n - 2, -1, -1):
-        y[i] = y[i] - cp[i] * y[i + 1]
-    return np.asarray(y)
+def _lu_apply(factor, rhs) -> np.ndarray:
+    mult, lu = factor
+    b = np.array(rhs, dtype=float)
+    b[1] -= mult * b[0]
+    x, _ = dgttrs(*lu, b, overwrite_b=1)
+    return x
 
 
 def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal system by the Thomas algorithm (no pivoting)."""
-    return _thomas_apply(_thomas_factor(system.lower, system.diag, system.upper), system.rhs)
+    """Solve the tridiagonal system: one Thomas step on row 0, then `dgttrf`/`dgttrs`."""
+    return _lu_apply(_lu_factor(system.lower, system.diag, system.upper), system.rhs)
 
 
 def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> SpaceTimeField:
@@ -141,7 +137,7 @@ def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Sp
     n_steps = time.n_steps
 
     system = assemble_step_matrix(spec, drift, grids)
-    factor = _thomas_factor(system.lower, system.diag, system.upper)
+    factor = _lu_factor(system.lower, system.diag, system.upper)
 
     u = np.empty((n_steps + 1, space.m + 1))
     u[0] = sample_on(spec.initial, x)
@@ -151,16 +147,17 @@ def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Sp
     x_int = x[1:-1]
     f_int = None if spec.source_xt is not None else sample_on(spec.source, x_int)
 
+    times = time.times
     rhs = np.empty(space.m + 1)
     for n in range(1, n_steps + 1):
-        t_n = time.times[n]
+        t_n = times[n]
         rhs[0] = spec.left_flux
         if f_int is None:
             rhs[1:-1] = u[n - 1][1:-1] / tau + np.asarray(spec.source_xt(x_int, t_n), dtype=float)
         else:
             rhs[1:-1] = u[n - 1][1:-1] / tau + f_int
         rhs[-1] = float(spec.right_flux(t_n))
-        u[n] = _thomas_apply(factor, rhs)
+        u[n] = _lu_apply(factor, rhs)
         if not np.all(np.isfinite(u[n])):
             raise NumericalError(f"forward solution became non-finite at step {n}")
 

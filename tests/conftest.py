@@ -33,6 +33,42 @@ def dense_solve():
     return gauss_solve
 
 
+def thomas_factor(lower, diag, upper):
+    """Forward elimination of the Thomas algorithm (no pivoting), in plain
+    Python; returns reusable multiplier lists.  Reference for the LAPACK
+    factorization in `driftrec.forward`.  A zero pivot surfaces as
+    ZeroDivisionError."""
+    lo = [float(v) for v in lower]
+    dg = [float(v) for v in diag]
+    up = [float(v) for v in upper]
+    n = len(dg)
+    w = [0.0] * n
+    cp = [0.0] * (n - 1)
+    w[0] = dg[0]
+    for i in range(1, n):
+        cp[i - 1] = up[i - 1] / w[i - 1]
+        w[i] = dg[i] - lo[i - 1] * cp[i - 1]
+    return lo, w, cp
+
+
+def thomas_apply(factor, rhs):
+    lo, w, cp = factor
+    n = len(w)
+    r = [float(v) for v in rhs]
+    y = [0.0] * n
+    y[0] = r[0] / w[0]
+    for i in range(1, n):
+        y[i] = (r[i] - lo[i - 1] * y[i - 1]) / w[i]
+    for i in range(n - 2, -1, -1):
+        y[i] = y[i] - cp[i] * y[i + 1]
+    return np.asarray(y)
+
+
+@pytest.fixture(scope="session")
+def thomas_reference():
+    return thomas_factor, thomas_apply
+
+
 def reference_spec(horizon=1.0):
     return dr.ProblemSpec(
         source=lambda x: 10.0 + 10.0 * np.asarray(x, dtype=float),

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import driftrec as dr
-from driftrec.errors import ConfigurationError, SingularSystemError
-from driftrec.forward import _thomas_apply, _thomas_factor
+from driftrec.errors import ConfigurationError, NumericalError, SingularSystemError
+from driftrec.forward import _lu_apply, _lu_factor
 
 
 def _dense_from_bands(system):
@@ -17,6 +20,20 @@ def _dense_from_bands(system):
 
 def _constant(c):
     return lambda x: c + 0.0 * np.asarray(x, dtype=float)
+
+
+@st.composite
+def _dominant_bands(draw):
+    """Row-diagonally dominant band system of random order and signs."""
+    n = draw(st.integers(3, 30))
+    unit = st.floats(-1.0, 1.0)
+    lower = draw(hnp.arrays(float, n - 1, elements=unit))
+    upper = draw(hnp.arrays(float, n - 1, elements=unit))
+    margin = draw(hnp.arrays(float, n, elements=st.floats(0.5, 5.0)))
+    sign = draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
+    rhs = draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    off = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0])
+    return dr.TridiagonalSystem(lower, sign * (off + margin), upper, rhs)
 
 
 class TestAssembly:
@@ -110,6 +127,25 @@ class TestThomas:
         with pytest.raises(SingularSystemError, match="pivot"):
             dr.thomas_solve(sys_)
 
+    def test_zero_pivot_after_row_0(self):
+        sys_ = dr.TridiagonalSystem(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2),
+                                    np.ones(3))
+        with pytest.raises(SingularSystemError, match="pivot in row 1"):
+            dr.thomas_solve(sys_)
+
+    def test_order_two_rejected(self):
+        with pytest.raises(ConfigurationError, match="order n >= 3"):
+            dr.TridiagonalSystem(np.zeros(1), np.ones(2), np.zeros(1), np.ones(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(system=_dominant_bands())
+    def test_matches_references_on_dominant_bands(self, dense_solve, thomas_reference, system):
+        factor, apply = thomas_reference
+        x = dr.thomas_solve(system)
+        for x_ref in (apply(factor(system.lower, system.diag, system.upper), system.rhs),
+                      dense_solve(_dense_from_bands(system), system.rhs)):
+            assert np.max(np.abs(x - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
+
 
 class TestForwardSolve:
     def test_constant_steady_state(self):
@@ -169,8 +205,54 @@ class TestForwardSolve:
             rhs[0] = ex1_spec.left_flux
             rhs[1:-1] = u[1:-1] / tau + f_int
             rhs[-1] = ex1_spec.right_flux(grids.time.times[n])
-            u = _thomas_apply(_thomas_factor(sys_.lower, sys_.diag, sys_.upper), rhs)
+            u = _lu_apply(_lu_factor(sys_.lower, sys_.diag, sys_.upper), rhs)
             assert np.array_equal(u, field.values[n])
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-0.5, 0.5),
+           a1=st.floats(0.0, 0.6), phase=st.floats(0.0, 2.0 * np.pi))
+    def test_march_matches_reference_march(self, ex1_spec, thomas_reference, m, n_steps,
+                                           a0, a1, phase):
+        # |q| + |q'| <= 0.5 + 0.6 (1 + 2 pi) < C_p = 5: admissible drifts
+        grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
+        x = grids.space.nodes
+        q = dr.GridFunction(grids.space, a0 + a1 * np.sin(2.0 * np.pi * x + phase))
+        field = dr.solve_forward(ex1_spec, q, grids)
+
+        factor, apply = thomas_reference
+        sys_ = dr.assemble_step_matrix(ex1_spec, q, grids)
+        fac = factor(sys_.lower, sys_.diag, sys_.upper)
+        u = dr.sample_on(ex1_spec.initial, x)
+        assert np.array_equal(u, field.values[0])
+        f_int = dr.sample_on(ex1_spec.source, x[1:-1])
+        times = grids.time.times
+        for n in range(1, n_steps + 1):
+            rhs = np.empty(x.size)
+            rhs[0] = ex1_spec.left_flux
+            rhs[1:-1] = u[1:-1] / grids.time.tau + f_int
+            rhs[-1] = ex1_spec.right_flux(times[n])
+            u = apply(fac, rhs)
+            assert np.max(np.abs(field.values[n] - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
+
+    def test_non_finite_step_raises(self):
+        def src(x, t):
+            return np.full_like(np.asarray(x, dtype=float), 0.0 if t < 0.15 else np.inf)
+
+        spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(1.0),
+                              left_flux=0.0, right_flux=_constant(0.0), horizon=1.0,
+                              source_xt=src)
+        grids = dr.build_grids(10, 10, 1.0)
+        q = dr.GridFunction.sample(grids.space, _constant(0.0))
+        with pytest.raises(NumericalError, match="non-finite at step 2"):
+            dr.solve_forward(spec, q, grids)
+
+    def test_non_finite_initial_condition_raises(self):
+        spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(np.nan),
+                              left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
+        grids = dr.build_grids(10, 10, 1.0)
+        q = dr.GridFunction.sample(grids.space, _constant(0.0))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            dr.solve_forward(spec, q, grids)
 
     def test_nonnegative_step_on_compliant_configurations(self):
         """M-matrix positivity: a step from nonnegative state with
