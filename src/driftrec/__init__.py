@@ -39,13 +39,13 @@ from .forward import (
 from .inversion import (
     IterationConfig,
     IterationTrace,
+    data_terms,
     drift_update,
     error_metrics,
     initial_drift,
     run_iteration,
 )
 from .mollify import (
-    BandedSystem,
     NoiseSpec,
     TikhonovConfig,
     add_noise,
@@ -62,12 +62,12 @@ from .experiments import (
     PRESET_NAMES,
     ExperimentPreset,
     ResultBundle,
-    builtin_presets,
     emit_outputs,
-    generate_data,
     make_preset,
+    mollify_data,
     run_experiment,
     run_suite,
+    synthesize,
 )
 
 __all__ = [
@@ -96,13 +96,13 @@ __all__ = [
     "final_time_derivative",
     "IterationConfig",
     "IterationTrace",
+    "data_terms",
     "initial_drift",
     "drift_update",
     "run_iteration",
     "error_metrics",
     "NoiseSpec",
     "TikhonovConfig",
-    "BandedSystem",
     "noise_sigma",
     "add_noise",
     "build_design_matrix",
@@ -116,8 +116,8 @@ __all__ = [
     "PRESET_NAMES",
     "FORMATS",
     "make_preset",
-    "builtin_presets",
-    "generate_data",
+    "synthesize",
+    "mollify_data",
     "run_experiment",
     "emit_outputs",
     "run_suite",

@@ -22,19 +22,12 @@ from .experiments import (
     PRESET_NAMES,
     ExperimentPreset,
     make_preset,
+    mollify_data,
     run_experiment,
-    _synthesize,
+    synthesize,
 )
 from .forward import solve_forward
 from .model import GridFunction, build_grids
-from .mollify import (
-    assemble_rhs,
-    build_design_matrix,
-    build_regularization_matrix,
-    noise_sigma,
-    select_lambda,
-    solve_tikhonov,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -117,33 +110,21 @@ def cmd_mollify(args) -> int:
     preset = _preset_from_args(args)
     if preset.noise is None or preset.noise.level <= 0.0:
         raise ConfigurationError("mollify needs a positive --noise level")
-    _, g_exact, g_measured = _synthesize(preset)
-    n_pts = preset.data_points
-    design = build_design_matrix(n_pts)
-    penalty = build_regularization_matrix(n_pts)
-    h_data = 1.0 / (n_pts - 1)
-    spec = preset.spec
-    g_tilde = assemble_rhs(g_measured, spec.left_flux, float(spec.right_flux(spec.horizon)), h_data)
-    sigma = noise_sigma(g_exact, preset.noise)
-    lam = preset.tikhonov.lam
-    if lam is None:
-        lam = select_lambda(design, penalty, g_tilde, preset.noise,
-                            sigma_abs=sigma, config=preset.tikhonov)
-    g_star = solve_tikhonov(design, penalty, g_tilde, lam)
-    residual = float(np.linalg.norm(design @ g_star - g_tilde))
+    _, g_exact, g_measured = synthesize(preset)
+    g_star, record = mollify_data(preset, g_exact, g_measured)
     err_before = float(np.linalg.norm(g_measured - g_exact))
     err_after = float(np.linalg.norm(g_star - g_exact))
-    print(f"mollify {preset.name}: K={n_pts}, lambda={lam:g}, residual={residual:g}, "
-          f"data error {err_before:g} -> {err_after:g}")
+    print(f"mollify {preset.name}: K={record['data_points']}, lambda={record['lambda']:g}, "
+          f"residual={record['residual']:g}, data error {err_before:g} -> {err_after:g}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "mollify.json"
         doc = {
             "preset": preset.name,
-            "lambda": float(lam),
-            "residual": residual,
-            "sigma_abs": sigma,
-            "data_points": int(n_pts),
+            "lambda": record["lambda"],
+            "residual": record["residual"],
+            "sigma_abs": record["sigma_abs"],
+            "data_points": record["data_points"],
             "noise_level": float(preset.noise.level),
             "seed": int(preset.noise.seed),
             "error_before": err_before,

@@ -165,7 +165,7 @@ def make_preset(
                                     tol_step=tol_step if tol_step is not None else 1e-4)
     do_mollify = mollify if mollify is not None else level > 0.0
 
-    noise = NoiseSpec(level=level, seed=seed if seed is not None else 7) if level > 0 else None
+    noise = NoiseSpec(level=level, seed=seed if seed is not None else 7) if level != 0.0 else None
     return ExperimentPreset(
         name=name,
         spec=_reference_spec(base["horizon"]),
@@ -178,10 +178,6 @@ def make_preset(
         iteration=iteration,
         tikhonov=TikhonovConfig(lam=lam),
     )
-
-
-def builtin_presets() -> list[ExperimentPreset]:
-    return [make_preset(name) for name in PRESET_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +204,7 @@ class ResultBundle:
     provenance: dict
 
 
-def _synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward-solve on the refined grid and sample onto the data grid.
 
     Returns (x_data, exact samples, measured samples); the measurement
@@ -230,9 +226,40 @@ def _synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray, np.nd
     return x_data, g_exact, g_measured
 
 
-def generate_data(preset: ExperimentPreset) -> np.ndarray:
-    """The measurement vector on the data grid (noisy when configured)."""
-    return _synthesize(preset)[2]
+def mollify_data(
+    preset: ExperimentPreset, g_exact: np.ndarray, g_measured: np.ndarray
+) -> tuple[np.ndarray, dict]:
+    """Denoise the measurement with the preset's Tikhonov settings.
+
+    The penalty weight is the preset's fixed `lam` or else the
+    discrepancy-principle choice for the preset's noise level.  Returns the
+    mollified data g* and a record of the weight, the fit residual and
+    the discrepancy target.
+    """
+    spec = preset.spec
+    n_pts = preset.data_points
+    design = build_design_matrix(n_pts)
+    penalty = build_regularization_matrix(n_pts)
+    h_data = 1.0 / (n_pts - 1)
+    g_tilde = assemble_rhs(g_measured, spec.left_flux, float(spec.right_flux(spec.horizon)), h_data)
+    sigma_abs = noise_sigma(g_exact, preset.noise)
+    if preset.tikhonov.lam is not None:
+        lam = preset.tikhonov.lam
+        mode = "fixed"
+    else:
+        lam = select_lambda(design, penalty, g_tilde, preset.noise,
+                            sigma_abs=sigma_abs, config=preset.tikhonov)
+        mode = "discrepancy"
+    g_star = solve_tikhonov(design, penalty, g_tilde, lam)
+    record = {
+        "lambda": float(lam),
+        "mode": mode,
+        "residual": float(np.linalg.norm(design @ g_star - g_tilde)),
+        "target": float(preset.tikhonov.safety * np.sqrt(n_pts) * sigma_abs),
+        "sigma_abs": float(sigma_abs),
+        "data_points": int(n_pts),
+    }
+    return g_star, record
 
 
 def run_experiment(
@@ -252,35 +279,12 @@ def run_experiment(
     grids = build_grids(m, n, spec.horizon)
     q_true_grid = GridFunction.sample(grids.space, preset.q_true)
 
-    x_data, g_exact, g_measured = _synthesize(preset)
+    x_data, g_exact, g_measured = synthesize(preset)
 
-    mollification = None
     if preset.mollify and preset.noise is not None and preset.noise.level > 0.0:
-        n_pts = preset.data_points
-        design = build_design_matrix(n_pts)
-        penalty = build_regularization_matrix(n_pts)
-        h_data = 1.0 / (n_pts - 1)
-        g_tilde = assemble_rhs(g_measured, spec.left_flux, float(spec.right_flux(spec.horizon)), h_data)
-        sigma_abs = noise_sigma(g_exact, preset.noise)
-        if preset.tikhonov.lam is not None:
-            lam = preset.tikhonov.lam
-            mode = "fixed"
-        else:
-            lam = select_lambda(design, penalty, g_tilde, preset.noise,
-                                sigma_abs=sigma_abs, config=preset.tikhonov)
-            mode = "discrepancy"
-        g_star = solve_tikhonov(design, penalty, g_tilde, lam)
-        residual = float(np.linalg.norm(design @ g_star - g_tilde))
-        mollification = {
-            "lambda": float(lam),
-            "mode": mode,
-            "residual": residual,
-            "target": float(preset.tikhonov.safety * np.sqrt(n_pts) * sigma_abs),
-            "sigma_abs": float(sigma_abs),
-            "data_points": int(n_pts),
-        }
+        g_star, mollification = mollify_data(preset, g_exact, g_measured)
     else:
-        g_star = g_measured
+        g_star, mollification = g_measured, None
 
     data_grid_fn = restrict(g_star, grids.space)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataQualityError, DivergenceError, NumericalError
 from .forward import final_time_derivative, solve_forward
-from .model import GridFunction, GridPair, ProblemSpec, sample_on
+from .model import GridFunction, GridPair, ProblemSpec, apply_stencil, sample_on
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class IterationConfig:
     tol_step: float = 1e-4
     denom_floor: float = 1e-3
     clamp_to_initial: bool = False
-    mono_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -60,7 +59,6 @@ class IterationTrace:
 
     iterates: list[GridFunction] = field(default_factory=list)
     step_norms: list[float] = field(default_factory=list)
-    residuals: list[float] = field(default_factory=list)
     floor_hits: int = 0
     mono_violations: list[float] = field(default_factory=list)
 
@@ -68,29 +66,9 @@ class IterationTrace:
         return {
             "n_iterates": len(self.iterates),
             "step_norms": [float(v) for v in self.step_norms],
-            "residuals": [float(v) for v in self.residuals],
             "floor_hits": int(self.floor_hits),
             "mono_violations": [float(v) for v in self.mono_violations],
         }
-
-
-def floored_slope(data: GridFunction, cfg: IterationConfig) -> tuple[np.ndarray, int]:
-    """Interior centered slope of the data with the positivity floor applied.
-
-    Returns the floored slopes and the number of nodes that hit the floor.
-    """
-    v = data.values
-    h = data.grid.h
-    slope = (v[2:] - v[:-2]) / (2.0 * h)
-    scale = float(np.max(slope))
-    if scale <= 0.0:
-        # fully non-monotone data: keep the floor positive anyway
-        scale = float(np.max(np.abs(slope)))
-        if scale == 0.0:
-            scale = 1.0
-    floor = cfg.denom_floor * scale
-    hits = int(np.count_nonzero(slope < floor))
-    return np.maximum(slope, floor), hits
 
 
 def _fill_boundaries(interior: np.ndarray) -> np.ndarray:
@@ -103,18 +81,29 @@ def _fill_boundaries(interior: np.ndarray) -> np.ndarray:
     return full
 
 
-def initial_drift(data: GridFunction, spec: ProblemSpec, cfg: IterationConfig | None = None) -> GridFunction:
-    """Upper-bound starting guess [f + g'' - C_p g] / g' on the data grid.
+def data_terms(
+    data: GridFunction, spec: ProblemSpec, cfg: IterationConfig | None = None
+) -> tuple[GridFunction, np.ndarray, int]:
+    """The constants of the fixed-point map, computed from the data alone.
 
-    Raises `DataQualityError` when more than 20% of the interior slopes sit
-    at the safeguard floor; data that rough needs mollification first.
+    Returns the upper-bound guess q0 = [f + g'' - C_p g] / g' on the data
+    grid, the interior slopes g' with the positivity floor applied, and the
+    number of nodes that hit the floor.  Raises `DataQualityError` when
+    more than 20% of the interior slopes sit at the floor; data that rough
+    needs mollification first.
     """
     cfg = cfg or IterationConfig()
     grid = data.grid
-    x = grid.nodes
-    h = grid.h
-
-    slope, hits = floored_slope(data, cfg)
+    slope = apply_stencil("centered_first", data).values[1:-1]
+    scale = float(np.max(slope))
+    if scale <= 0.0:
+        # fully non-monotone data: keep the floor positive anyway
+        scale = float(np.max(np.abs(slope)))
+        if scale == 0.0:
+            scale = 1.0
+    floor = cfg.denom_floor * scale
+    hits = int(np.count_nonzero(slope < floor))
+    slope = np.maximum(slope, floor)
     n_int = grid.m - 1
     if hits > 0.2 * n_int:
         raise DataQualityError(
@@ -122,32 +111,35 @@ def initial_drift(data: GridFunction, spec: ProblemSpec, cfg: IterationConfig | 
             "the data is too rough to differentiate - mollify it first"
         )
 
-    v = data.values
-    curvature = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    f_int = sample_on(spec.source, x[1:-1])
-    q_int = (f_int + curvature - spec.potential * v[1:-1]) / slope
-    return GridFunction(grid, _fill_boundaries(q_int))
+    curvature = apply_stencil("centered_second", data).values[1:-1]
+    f_int = sample_on(spec.source, grid.nodes[1:-1])
+    q_int = (f_int + curvature - spec.potential * data.values[1:-1]) / slope
+    return GridFunction(grid, _fill_boundaries(q_int)), slope, hits
+
+
+def initial_drift(data: GridFunction, spec: ProblemSpec, cfg: IterationConfig | None = None) -> GridFunction:
+    """Upper-bound starting guess [f + g'' - C_p g] / g' (see `data_terms`)."""
+    return data_terms(data, spec, cfg)[0]
 
 
 def drift_update(
     drift: GridFunction,
-    data: GridFunction,
+    q0: GridFunction,
+    slope: np.ndarray,
     spec: ProblemSpec,
     grids: GridPair,
     cfg: IterationConfig | None = None,
 ) -> GridFunction:
     """One application of the fixed-point map (one forward solve).
 
-    Nodewise this equals the initial guess minus u_t(., T; drift) / g' at
-    interior nodes, with boundary values linearly extrapolated; with
-    `clamp_to_initial` the result is additionally capped at the initial
-    guess.
+    `q0` and `slope` are the initial guess and floored interior data
+    slopes from `data_terms`.  Nodewise the result is q0 - u_t(., T; drift)
+    / slope at interior nodes, with boundary values linearly extrapolated;
+    with `clamp_to_initial` it is additionally capped at q0.
     """
     cfg = cfg or IterationConfig()
     field = solve_forward(spec, drift, grids)
     u_t = final_time_derivative(field)
-    q0 = initial_drift(data, spec, cfg)
-    slope, _ = floored_slope(data, cfg)
 
     k_int = q0.values[1:-1] - u_t.values[1:-1] / slope
     values = _fill_boundaries(k_int)
@@ -155,7 +147,7 @@ def drift_update(
         values = np.minimum(values, q0.values)
     if not np.all(np.isfinite(values)):
         raise NumericalError("drift update produced non-finite values")
-    return GridFunction(data.grid, values)
+    return GridFunction(q0.grid, values)
 
 
 def run_iteration(
@@ -173,20 +165,19 @@ def run_iteration(
     partial trace.
     """
     cfg = cfg or IterationConfig()
-    _, hits = floored_slope(data, cfg)
-    q_cur = initial_drift(data, spec, cfg)
+    q0, slope, hits = data_terms(data, spec, cfg)
+    q_cur = q0
     trace = IterationTrace(iterates=[q_cur], floor_hits=hits)
 
     for _ in range(cfg.max_iter):
         try:
-            q_next = drift_update(q_cur, data, spec, grids, cfg)
+            q_next = drift_update(q_cur, q0, slope, spec, grids, cfg)
         except NumericalError as exc:
             raise DivergenceError(f"iteration diverged: {exc}", trace=trace) from exc
         diff = q_next.values - q_cur.values
         step = float(np.max(np.abs(diff)))
         trace.iterates.append(q_next)
         trace.step_norms.append(step)
-        trace.residuals.append(step)
         trace.mono_violations.append(float(np.max(diff)))
         if step < cfg.tol_step:
             return q_cur, trace

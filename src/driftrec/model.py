@@ -196,9 +196,6 @@ def apply_stencil(kind: str, u: GridFunction, tau: float | None = None) -> GridF
 # Admissibility diagnostics
 # ---------------------------------------------------------------------------
 
-CLAUSES = ("a", "b", "c", "d", "e", "f")
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Per-clause admissibility verdicts for a problem setup.
@@ -303,8 +300,7 @@ def validate_assumptions(
     )
 
     if data is not None:
-        slope = (data.values[2:] - data.values[:-2]) / (2.0 * data.grid.h)
-        lower_bound_m = float(np.min(slope))
+        lower_bound_m = float(np.min(apply_stencil("centered_first", data).values[1:-1]))
     else:
         lower_bound_m = float("nan")
 

@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigurationError, IllPosedError
-from .model import GridFunction, SpatialGrid, _readonly
+from .model import GridFunction, SpatialGrid
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,12 @@ class NoiseSpec:
 
     level: float
     seed: int = 7
-    scaling: str = "relative-to-sup"
 
     def __post_init__(self):
         if not (self.level >= 0.0 and np.isfinite(self.level)):
             raise ConfigurationError(f"noise level must be finite and >= 0, got {self.level!r}")
-        if self.scaling != "relative-to-sup":
-            raise ConfigurationError(f"unsupported noise scaling {self.scaling!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"noise seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ class TikhonovConfig:
     grid_points: int = 60
 
     def __post_init__(self):
-        if self.lam is not None and not (self.lam > 0.0):
-            raise ConfigurationError(f"fixed lambda must be > 0, got {self.lam!r}")
+        if self.lam is not None and not (self.lam > 0.0 and np.isfinite(self.lam)):
+            raise ConfigurationError(f"fixed lambda must be finite and > 0, got {self.lam!r}")
         if self.lambda_max is not None and not (0.0 < self.lambda_min < self.lambda_max):
             raise ConfigurationError(
                 f"need 0 < lambda_min < lambda_max, got {self.lambda_min!r}, {self.lambda_max!r}"
@@ -74,31 +73,6 @@ class TikhonovConfig:
         # effective weight on raw second differences is lambda/(K-1)^4;
         # beyond ~1e14 the normal equations stop being numerically definite
         return 1e14 * float(n_points - 1) ** 4
-
-
-@dataclass(frozen=True, eq=False)
-class BandedSystem:
-    """Symmetric pentadiagonal normal equations in upper-band storage.
-
-    `bands[2]` is the main diagonal, `bands[1]` the first superdiagonal
-    (shifted right by one), `bands[0]` the second (shifted by two) - the
-    layout the banded Cholesky solver expects.
-    """
-
-    bands: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bands, dtype=float)
-        r = np.asarray(self.rhs, dtype=float)
-        if b.ndim != 2 or b.shape[0] != 3 or b.shape[1] != r.size:
-            raise ConfigurationError(f"bands shape {b.shape} inconsistent with rhs length {r.size}")
-        object.__setattr__(self, "bands", _readonly(b))
-        object.__setattr__(self, "rhs", _readonly(r))
-
-    @property
-    def order(self) -> int:
-        return self.rhs.size
 
 
 def noise_sigma(g_exact: np.ndarray, noise: NoiseSpec) -> float:
@@ -162,8 +136,14 @@ def normal_equations(
     penalty: scipy.sparse.spmatrix,
     g_tilde: np.ndarray,
     lam: float,
-) -> BandedSystem:
-    """Assemble (A^T A + lambda R^T R) g = A^T g~ in upper-band storage."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble (A^T A + lambda R^T R) g = A^T g~ as (bands, rhs).
+
+    The bands are in upper storage, the layout the banded Cholesky solver
+    expects: `bands[2]` is the main diagonal, `bands[1]` the first
+    superdiagonal (shifted right by one), `bands[0]` the second (shifted
+    by two).
+    """
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = design.shape[0]
     if g_tilde.shape != (n,):
@@ -173,7 +153,7 @@ def normal_equations(
     bands[2] = normal.diagonal(0)
     bands[1, 1:] = normal.diagonal(1)
     bands[0, 2:] = normal.diagonal(2)
-    return BandedSystem(bands, design.T @ g_tilde)
+    return bands, design.T @ g_tilde
 
 
 def solve_tikhonov(
@@ -186,9 +166,9 @@ def solve_tikhonov(
     equations; cost is linear in the number of data points."""
     if lam < 0.0:
         raise ConfigurationError(f"lambda must be >= 0, got {lam!r}")
-    system = normal_equations(design, penalty, g_tilde, lam)
+    bands, rhs = normal_equations(design, penalty, g_tilde, lam)
     try:
-        return scipy.linalg.solveh_banded(system.bands, system.rhs, lower=False)
+        return scipy.linalg.solveh_banded(bands, rhs, lower=False)
     except np.linalg.LinAlgError as exc:
         raise IllPosedError(f"normal equations not positive definite (lambda={lam!r}): {exc}") from exc
 

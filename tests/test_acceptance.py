@@ -91,7 +91,7 @@ def test_criterion_3_discrete_positivity(ex1_setup):
 def test_criterion_4_update_preserves_order(ex1_setup):
     start = time.perf_counter()
     setup = ex1_setup
-    q0 = dr.initial_drift(setup["data"], setup["spec"])
+    q0, slope, _ = dr.data_terms(setup["data"], setup["spec"])
     x = setup["grids"].space.nodes
     rng = np.random.default_rng(42)
     worst = -np.inf
@@ -103,9 +103,9 @@ def test_criterion_4_update_preserves_order(ex1_setup):
         hi = np.minimum(lo + bump, q0.values - 0.1)
         lo = np.minimum(lo, hi)
         k_lo = dr.drift_update(dr.GridFunction(setup["grids"].space, lo),
-                               setup["data"], setup["spec"], setup["grids"])
+                               q0, slope, setup["spec"], setup["grids"])
         k_hi = dr.drift_update(dr.GridFunction(setup["grids"].space, hi),
-                               setup["data"], setup["spec"], setup["grids"])
+                               q0, slope, setup["spec"], setup["grids"])
         worst = max(worst, float(np.max(k_lo.values - k_hi.values)))
     assert worst <= 1e-6
     _report(4, f"20 ordered pairs, worst violation {worst:.3e}",

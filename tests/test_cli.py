@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import driftrec as dr
 from driftrec.cli import main
 
 
@@ -17,6 +20,11 @@ class TestExitCodes:
 
     def test_bad_format(self, capsys):
         assert main(["experiment", "ex1a", "--formats", "csv,pdf"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--seed", "-1"], ["--noise", "-0.01"]])
+    def test_out_of_range_value(self, flags, capsys):
+        assert main(["invert", "ex3e", *flags]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = main(["experiment", "ex3e", "--noise", "0.5", "--seed", "3", "--no-mollify",
@@ -48,6 +56,13 @@ class TestCommands:
         doc = json.loads((tmp_path / "mollify.json").read_text())
         assert doc["noise_level"] == 0.01
         assert doc["error_after"] < doc["error_before"]
+
+    def test_mollify_matches_pipeline(self, tmp_path, capsys):
+        assert main(["mollify", "ex3e", "--data-points", "2001", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "mollify.json").read_text())
+        record = dr.run_experiment(dr.make_preset("ex3e", data_points=2001)).mollification
+        for key in ("lambda", "residual", "sigma_abs", "data_points"):
+            assert doc[key] == record[key]
 
     def test_fixed_lambda_accepted(self, tmp_path):
         code = main(["experiment", "ex3e", "--lambda", "1e28", "--data-points", "2001",

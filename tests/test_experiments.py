@@ -77,13 +77,13 @@ class TestPresets:
 
 class TestGenerateData:
     def test_deterministic(self):
-        a = dr.generate_data(dr.make_preset("ex3e"))
-        b = dr.generate_data(dr.make_preset("ex3e"))
+        a = dr.synthesize(dr.make_preset("ex3e"))[2]
+        b = dr.synthesize(dr.make_preset("ex3e"))[2]
         assert np.array_equal(a, b)
 
     def test_exact_data_has_positive_slope(self):
         preset = dr.make_preset("ex1a", data_points=2001)
-        g = dr.generate_data(preset)
+        g = dr.synthesize(preset)[2]
         h = 1.0 / (g.size - 1)
         slope = (g[2:] - g[:-2]) / (2.0 * h)
         assert np.all(slope > 0.0)
@@ -155,6 +155,11 @@ class TestEmitOutputs:
         assert doc["iteration"]["step_norms"] == [float(s) for s in bundle.trace.step_norms]
         assert doc["mollification"]["lambda"] == bundle.mollification["lambda"]
         assert doc["provenance"] == json.loads(json.dumps(bundle.provenance))
+
+    def test_trace_json_iteration_keys(self, bundle_dir):
+        _, out = bundle_dir
+        doc = json.loads((out / "trace.json").read_text())
+        assert set(doc["iteration"]) == {"floor_hits", "mono_violations", "n_iterates", "step_norms"}
 
     def test_svg_structure(self, bundle_dir):
         _, out = bundle_dir

@@ -3,7 +3,6 @@ import pytest
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError, DataQualityError, DivergenceError, NumericalError
-from driftrec.inversion import floored_slope
 
 
 def _constant(c):
@@ -36,7 +35,7 @@ class TestInitialDrift:
         vals[6] = vals[4] + 2.0 * grid.h * 1e-12
         g = dr.GridFunction(grid, vals)
         cfg = dr.IterationConfig()
-        slope, hits = floored_slope(g, cfg)
+        _, slope, hits = dr.data_terms(g, _linear_data_spec(), cfg)
         floor = cfg.denom_floor * np.max((g.values[2:] - g.values[:-2]) / (2.0 * grid.h))
         assert hits >= 1
         assert slope[4] == floor  # slope index 4 is node 5
@@ -54,7 +53,7 @@ class TestInitialDrift:
 class TestDriftUpdate:
     def test_bounded_by_initial_guess(self, ex1_setup):
         setup = ex1_setup
-        q0 = dr.initial_drift(setup["data"], setup["spec"])
+        q0, slope, _ = dr.data_terms(setup["data"], setup["spec"])
         rng = np.random.default_rng(17)
         x = setup["grids"].space.nodes
         for _ in range(10):
@@ -63,17 +62,18 @@ class TestDriftUpdate:
             vals = np.minimum(a0 + a1 * np.sin(2 * np.pi * x + rng.uniform(0, 2 * np.pi)),
                               q0.values - 0.1)
             q = dr.GridFunction(setup["grids"].space, vals)
-            out = dr.drift_update(q, setup["data"], setup["spec"], setup["grids"])
+            out = dr.drift_update(q, q0, slope, setup["spec"], setup["grids"])
             assert np.all(out.values <= q0.values + 1e-8)
 
     def test_fixed_point_residual_of_true_drift(self, ex1_setup):
         setup = ex1_setup
-        out = dr.drift_update(setup["q_true"], setup["data"], setup["spec"], setup["grids"])
+        q0, slope, _ = dr.data_terms(setup["data"], setup["spec"])
+        out = dr.drift_update(setup["q_true"], q0, slope, setup["spec"], setup["grids"])
         assert np.max(np.abs(out.values - setup["q_true"].values)) <= 0.05
 
     def test_order_preservation(self, ex1_setup):
         setup = ex1_setup
-        q0 = dr.initial_drift(setup["data"], setup["spec"])
+        q0, slope, _ = dr.data_terms(setup["data"], setup["spec"])
         rng = np.random.default_rng(23)
         x = setup["grids"].space.nodes
         for _ in range(5):
@@ -83,22 +83,23 @@ class TestDriftUpdate:
             hi = np.minimum(lo + bump, q0.values - 0.1)
             lo = np.minimum(lo, hi)
             k_lo = dr.drift_update(dr.GridFunction(setup["grids"].space, lo),
-                                   setup["data"], setup["spec"], setup["grids"])
+                                   q0, slope, setup["spec"], setup["grids"])
             k_hi = dr.drift_update(dr.GridFunction(setup["grids"].space, hi),
-                                   setup["data"], setup["spec"], setup["grids"])
+                                   q0, slope, setup["spec"], setup["grids"])
             assert np.max(k_lo.values - k_hi.values) <= 1e-6
 
     def test_clamp_to_initial(self, ex1_setup):
         setup = ex1_setup
         cfg = dr.IterationConfig(clamp_to_initial=True)
-        q0 = dr.initial_drift(setup["data"], setup["spec"], cfg)
-        out = dr.drift_update(setup["q_true"], setup["data"], setup["spec"], setup["grids"], cfg)
+        q0, slope, _ = dr.data_terms(setup["data"], setup["spec"], cfg)
+        out = dr.drift_update(setup["q_true"], q0, slope, setup["spec"], setup["grids"], cfg)
         assert np.all(out.values <= q0.values)
 
     def test_deterministic(self, ex1_setup):
         setup = ex1_setup
-        a = dr.drift_update(setup["q_true"], setup["data"], setup["spec"], setup["grids"])
-        b = dr.drift_update(setup["q_true"], setup["data"], setup["spec"], setup["grids"])
+        q0, slope, _ = dr.data_terms(setup["data"], setup["spec"])
+        a = dr.drift_update(setup["q_true"], q0, slope, setup["spec"], setup["grids"])
+        b = dr.drift_update(setup["q_true"], q0, slope, setup["spec"], setup["grids"])
         assert np.array_equal(a.values, b.values)
 
 
@@ -110,7 +111,7 @@ class TestRunIteration:
         q0 = dr.initial_drift(setup["data"], setup["spec"], cfg)
         assert np.array_equal(q_final.values, q0.values)
         assert 1 <= len(trace.iterates) <= 2
-        assert len(trace.residuals) == 1
+        assert len(trace.step_norms) == 1
 
     def test_decreasing_iterates_on_exact_data(self, ex1_setup):
         setup = ex1_setup

@@ -4,7 +4,6 @@ import scipy.sparse
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError, IllPosedError
-from driftrec.experiments import _synthesize
 
 
 def _objective(design, penalty, g_tilde, lam, g):
@@ -15,7 +14,7 @@ def _objective(design, penalty, g_tilde, lam, g):
 @pytest.fixture(scope="module")
 def ex3e_noisy_setup():
     preset = dr.make_preset("ex3e", noise_level=0.01, seed=7)
-    x, g_exact, g_noisy = _synthesize(preset)
+    x, g_exact, g_noisy = dr.synthesize(preset)
     n = preset.data_points
     design = dr.build_design_matrix(n)
     penalty = dr.build_regularization_matrix(n)
