@@ -39,6 +39,7 @@ from .mollify import (
     assemble_rhs,
     build_design_matrix,
     build_regularization_matrix,
+    fit_residual,
     noise_sigma,
     restrict,
     select_lambda,
@@ -119,6 +120,12 @@ class ExperimentPreset:
             )
         if self.data_points < 3:
             raise ConfigurationError(f"data_points must be >= 3, got {self.data_points}")
+        if self.data_points < self.solver_grid[0] + 1:
+            # fewer samples than solver nodes: restriction would hand the update a coarse polyline
+            raise ConfigurationError(
+                f"data_points must be >= grid_m + 1 = {self.solver_grid[0] + 1}, "
+                f"got {self.data_points}"
+            )
 
 
 _PRESET_TABLE = {
@@ -254,7 +261,7 @@ def mollify_data(
     record = {
         "lambda": float(lam),
         "mode": mode,
-        "residual": float(np.linalg.norm(design @ g_star - g_tilde)),
+        "residual": fit_residual(g_star, g_tilde),
         "target": float(preset.tikhonov.safety * np.sqrt(n_pts) * sigma_abs),
         "sigma_abs": float(sigma_abs),
         "data_points": int(n_pts),

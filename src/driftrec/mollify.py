@@ -10,19 +10,27 @@ replaced by first-difference Neumann constraints, R is the scaled
 second-difference penalty, and g~ carries h*b1 and h*b2(T) in its first and
 last entries.  The normal equations are pentadiagonal and symmetric
 positive definite, so the solve is O(K) however large the data grid is.
+
+Only lambda changes while the discrepancy principle searches for it, so
+the bands of A^T A and R^T R and the right-hand side A^T g~ are built once
+per search.  Each lambda then costs one O(K) banded Cholesky solve (LAPACK
+dpbsv) and a closed-form fit residual.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg.lapack import dpbsv
 
 from .errors import ConfigurationError, IllPosedError
 from .model import GridFunction, SpatialGrid
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,9 @@ class TikhonovConfig:
     def __post_init__(self):
         if self.lam is not None and not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise ConfigurationError(f"fixed lambda must be finite and > 0, got {self.lam!r}")
-        if self.lambda_max is not None and not (0.0 < self.lambda_min < self.lambda_max):
+        if self.lambda_max is not None and not (0.0 < self.lambda_min < self.lambda_max < np.inf):
             raise ConfigurationError(
-                f"need 0 < lambda_min < lambda_max, got {self.lambda_min!r}, {self.lambda_max!r}"
+                f"need 0 < lambda_min < lambda_max < inf, got {self.lambda_min!r}, {self.lambda_max!r}"
             )
         if not (self.lambda_min > 0.0):
             raise ConfigurationError(f"lambda_min must be > 0, got {self.lambda_min!r}")
@@ -105,6 +113,16 @@ def build_design_matrix(n_points: int) -> scipy.sparse.csr_matrix:
     return scipy.sparse.diags([sub, main, sup], offsets=[-1, 0, 1], format="csr")
 
 
+def fit_residual(g: np.ndarray, g_tilde: np.ndarray) -> float:
+    """||A g - g~|| for A = `build_design_matrix(K)`, without the product:
+    interior rows are g - g~, the first and last rows the boundary first
+    differences g_1 - g_0 and g_{K-1} - g_{K-2} minus g~ there."""
+    r = g - g_tilde
+    r[0] = g[1] - g[0] - g_tilde[0]
+    r[-1] = g[-1] - g[-2] - g_tilde[-1]
+    return float(np.linalg.norm(r))
+
+
 def build_regularization_matrix(n_points: int) -> scipy.sparse.csr_matrix:
     """(K-2) x K second-difference penalty rows (1, -2, 1) / (K-1)^2."""
     if n_points < 3:
@@ -135,25 +153,47 @@ def normal_equations(
     design: scipy.sparse.spmatrix,
     penalty: scipy.sparse.spmatrix,
     g_tilde: np.ndarray,
-    lam: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble (A^T A + lambda R^T R) g = A^T g~ as (bands, rhs).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lambda-free parts of (A^T A + lambda R^T R) g = A^T g~.
 
-    The bands are in upper storage, the layout the banded Cholesky solver
-    expects: `bands[2]` is the main diagonal, `bands[1]` the first
-    superdiagonal (shifted right by one), `bands[0]` the second (shifted
-    by two).
+    Returns (fit, pen, rhs): the bands of A^T A and of R^T R, and
+    rhs = A^T g~.  The bands are in upper storage, the layout the banded
+    Cholesky solver expects: row 2 is the main diagonal, row 1 the first
+    superdiagonal (shifted right by one), row 0 the second (shifted by
+    two).  `fit + lam * pen` rounds each entry exactly as the sparse sum
+    A^T A + lam R^T R does, so a lambda search builds these once.
     """
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = design.shape[0]
     if g_tilde.shape != (n,):
         raise ConfigurationError(f"rhs length {g_tilde.size} does not match matrix order {n}")
-    normal = (design.T @ design + lam * (penalty.T @ penalty)).tocsr()
-    bands = np.zeros((3, n))
+    if not np.all(np.isfinite(g_tilde)):
+        raise ConfigurationError("fit target g_tilde must be finite")
+    return _upper_bands(design.T @ design), _upper_bands(penalty.T @ penalty), design.T @ g_tilde
+
+
+def _upper_bands(normal: scipy.sparse.spmatrix) -> np.ndarray:
+    normal = normal.tocsr()
+    bands = np.zeros((3, normal.shape[0]))
     bands[2] = normal.diagonal(0)
     bands[1, 1:] = normal.diagonal(1)
     bands[0, 2:] = normal.diagonal(2)
-    return bands, design.T @ g_tilde
+    return bands
+
+
+def _solve_bands(fit: np.ndarray, pen: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """One banded Cholesky solve (LAPACK dpbsv) of (fit + lam * pen) g = rhs."""
+    if not (lam >= 0.0 and np.isfinite(lam)):
+        raise ConfigurationError(f"lambda must be finite and >= 0, got {lam!r}")
+    _, g, info = dpbsv(fit + lam * pen, rhs, lower=0, overwrite_ab=1)
+    if info > 0:
+        raise IllPosedError(
+            f"normal equations not positive definite (lambda={lam!r}): "
+            f"leading minor {info} is not positive"
+        )
+    if info < 0:
+        raise ValueError(f"dpbsv rejected argument {-info}")
+    return g
 
 
 def solve_tikhonov(
@@ -164,13 +204,7 @@ def solve_tikhonov(
 ) -> np.ndarray:
     """Minimize ||A g - g~||^2 + lambda ||R g||^2 via the banded normal
     equations; cost is linear in the number of data points."""
-    if lam < 0.0:
-        raise ConfigurationError(f"lambda must be >= 0, got {lam!r}")
-    bands, rhs = normal_equations(design, penalty, g_tilde, lam)
-    try:
-        return scipy.linalg.solveh_banded(bands, rhs, lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise IllPosedError(f"normal equations not positive definite (lambda={lam!r}): {exc}") from exc
+    return _solve_bands(*normal_equations(design, penalty, g_tilde), lam)
 
 
 def select_lambda(
@@ -188,51 +222,65 @@ def select_lambda(
     crossing, then bisection in log-lambda pins it down.  If even the
     largest lambda falls short, the smallest grid value is returned with a
     warning.  `sigma_abs` defaults to level * sup of the interior samples
-    (pass the exact scale when it is known).
+    (pass the exact scale when it is known).  `design` must be
+    `build_design_matrix(K)`, whose residual `fit_residual` computes.
+
+    The normal-equation bands are built once; each lambda then costs one
+    O(K) banded Cholesky solve.  The search path is logged at DEBUG.
     """
     cfg = config or TikhonovConfig()
+    fit, pen, rhs = normal_equations(design, penalty, g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
+    if (design != build_design_matrix(n)).nnz:
+        raise ConfigurationError(f"select_lambda needs the design matrix of {n} data points")
     if sigma_abs is None:
         sigma_abs = noise.level * float(np.max(np.abs(g_tilde[1:-1])))
-    target = cfg.safety * np.sqrt(n) * sigma_abs
+    target = float(cfg.safety * np.sqrt(n) * sigma_abs)
+    residuals = {}
 
-    def residual_at(lam: float) -> float:
-        g_star = solve_tikhonov(design, penalty, g_tilde, lam)
-        return float(np.linalg.norm(design @ g_star - g_tilde))
+    def reached(lam: float) -> bool:
+        residuals[lam] = fit_residual(_solve_bands(fit, pen, rhs, lam), g_tilde)
+        return residuals[lam] >= target
 
     lam_max = cfg.resolved_lambda_max(n)
     grid = np.geomspace(cfg.lambda_min, lam_max, cfg.grid_points)
     hi = None
     lo = None
+    n_grid = n_bisect = 0
     for lam in grid:
+        n_grid += 1
         try:
-            reached = residual_at(float(lam)) >= target
+            if reached(float(lam)):
+                hi = float(lam)
+                break
         except IllPosedError:
             break  # conditioning limit: treat as the end of the scan
-        if reached:
-            hi = float(lam)
-            break
         lo = float(lam)
+    bracket = (lo, hi)
     if hi is None:
         warnings.warn(
             f"no lambda in [{cfg.lambda_min:g}, {lam_max:g}] reaches the discrepancy "
             f"target {target:g}; returning lambda_min",
             stacklevel=2,
         )
-        return float(cfg.lambda_min)
-    if lo is None:
-        return hi  # already satisfied at the smallest grid value
-
-    # residual is nondecreasing in lambda: bisect the bracketing interval
-    for _ in range(60):
-        mid = float(np.sqrt(lo * hi))
-        if mid <= lo or mid >= hi:
-            break
-        if residual_at(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
+        hi = float(cfg.lambda_min)
+    elif lo is not None:
+        # residual is nondecreasing in lambda: bisect the bracketing interval
+        for _ in range(60):
+            mid = float(np.sqrt(lo * hi))
+            if mid <= lo or mid >= hi:
+                break
+            n_bisect += 1
+            if reached(mid):
+                hi = mid
+            else:
+                lo = mid
+    _log.debug(
+        "lambda search: bracket %r, %d grid + %d bisection solves, "
+        "lambda %r, residual %r, target %r",
+        bracket, n_grid, n_bisect, hi, residuals.get(hi), target,
+    )
     return hi
 
 

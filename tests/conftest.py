@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import settings
 
 import driftrec as dr
+from driftrec.errors import IllPosedError
+
+# CI runs with HYPOTHESIS_PROFILE=ci so that a failing example reproduces
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def gauss_solve(matrix, rhs):
@@ -67,6 +76,60 @@ def thomas_apply(factor, rhs):
 @pytest.fixture(scope="session")
 def thomas_reference():
     return thomas_factor, thomas_apply
+
+
+def tikhonov_solve(design, penalty, g_tilde, lam):
+    """Tikhonov solve that forms A^T A + lam R^T R with sparse products on
+    every call.  Reference for the prebuilt bands in `driftrec.mollify`."""
+    g_tilde = np.asarray(g_tilde, dtype=float)
+    normal = (design.T @ design + lam * (penalty.T @ penalty)).tocsr()
+    bands = np.zeros((3, design.shape[0]))
+    bands[2] = normal.diagonal(0)
+    bands[1, 1:] = normal.diagonal(1)
+    bands[0, 2:] = normal.diagonal(2)
+    try:
+        return scipy.linalg.solveh_banded(bands, design.T @ g_tilde, lower=False)
+    except np.linalg.LinAlgError as exc:
+        raise IllPosedError(str(exc)) from exc
+
+
+def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
+    """Discrepancy search with one full reference solve and one sparse
+    residual product per lambda; returns lambda_min when nothing reaches
+    the target."""
+    g_tilde = np.asarray(g_tilde, dtype=float)
+    n = g_tilde.size
+    target = config.safety * np.sqrt(n) * sigma_abs
+
+    def reached(lam):
+        g_star = tikhonov_solve(design, penalty, g_tilde, lam)
+        return np.linalg.norm(design @ g_star - g_tilde) >= target
+
+    lo = hi = None
+    for lam in np.geomspace(config.lambda_min, config.resolved_lambda_max(n), config.grid_points):
+        try:
+            if reached(float(lam)):
+                hi = float(lam)
+                break
+        except IllPosedError:
+            break
+        lo = float(lam)
+    if hi is None or lo is None:
+        return float(config.lambda_min) if hi is None else hi
+    for _ in range(60):
+        mid = float(np.sqrt(lo * hi))
+        if mid <= lo or mid >= hi:
+            break
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.fixture(scope="session")
+def tikhonov_reference():
+    return tikhonov_solve, tikhonov_search
 
 
 def reference_spec(horizon=1.0):

@@ -21,6 +21,10 @@ class TestExitCodes:
     def test_bad_format(self, capsys):
         assert main(["experiment", "ex1a", "--formats", "csv,pdf"]) == 2
 
+    def test_data_grid_coarser_than_solver_grid(self, capsys):
+        assert main(["invert", "ex3e", "--data-points", "3"]) == 2
+        assert "data_points" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--seed", "-1"], ["--noise", "-0.01"]])
     def test_out_of_range_value(self, flags, capsys):
         assert main(["invert", "ex3e", *flags]) == 2

@@ -59,6 +59,11 @@ class TestPresets:
         assert p.iteration.max_iter == 9 and p.iteration.tol_step == 1e-6
         assert p.tikhonov.lam == 0.5
 
+    def test_data_grid_coarser_than_solver_grid_rejected(self):
+        with pytest.raises(ConfigurationError, match="grid_m"):
+            dr.make_preset("ex3e", data_points=20)
+        assert dr.make_preset("ex3e", data_points=21).data_points == 21
+
     def test_drift_shapes(self):
         x = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 1.0])
         assert np.allclose(drift_sine(x), np.sin(x))

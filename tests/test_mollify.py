@@ -1,9 +1,15 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError, IllPosedError
+from driftrec.mollify import fit_residual
 
 
 def _objective(design, penalty, g_tilde, lam, g):
@@ -75,6 +81,14 @@ class TestDesignMatrix:
     def test_too_small(self):
         with pytest.raises(ConfigurationError, match="3"):
             dr.build_design_matrix(2)
+
+    def test_fit_residual_matches_product(self):
+        rng = np.random.default_rng(5)
+        for n in [3, 4, 57] * 20:
+            g = rng.standard_normal(n)
+            g_tilde = rng.standard_normal(n)
+            expected = np.linalg.norm(dr.build_design_matrix(n) @ g - g_tilde)
+            assert fit_residual(g, g_tilde) == expected
 
 
 class TestRegularizationMatrix:
@@ -187,6 +201,39 @@ class TestSolveTikhonov:
         with pytest.raises(ConfigurationError, match="lambda"):
             dr.solve_tikhonov(design, penalty, np.ones(4), -1.0)
 
+    @pytest.mark.parametrize("lam", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_lambda_rejected(self, lam):
+        design = dr.build_design_matrix(4)
+        penalty = dr.build_regularization_matrix(4)
+        with pytest.raises(ConfigurationError, match="lambda"):
+            dr.solve_tikhonov(design, penalty, np.ones(4), lam)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_data_rejected(self, bad):
+        design = dr.build_design_matrix(5)
+        penalty = dr.build_regularization_matrix(5)
+        g_tilde = np.array([0.1, 1.0, bad, 1.0, 0.1])
+        with pytest.raises(ConfigurationError, match="finite"):
+            dr.solve_tikhonov(design, penalty, g_tilde, 1.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            dr.select_lambda(design, penalty, g_tilde, dr.NoiseSpec(level=0.01), sigma_abs=0.01)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 200), log_lam=st.floats(-12.0, 20.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_sparse_reference(self, tikhonov_reference, n, log_lam, seed):
+        reference_solve, _ = tikhonov_reference
+        design = dr.build_design_matrix(n)
+        penalty = dr.build_regularization_matrix(n)
+        g_tilde = np.random.default_rng(seed).standard_normal(n)
+        lam = 10.0**log_lam
+        try:
+            expected = reference_solve(design, penalty, g_tilde, lam)
+        except IllPosedError:
+            with pytest.raises(IllPosedError):
+                dr.solve_tikhonov(design, penalty, g_tilde, lam)
+            return
+        assert np.array_equal(dr.solve_tikhonov(design, penalty, g_tilde, lam), expected)
+
 
 class TestSelectLambda:
     def test_zero_noise_returns_lambda_min(self):
@@ -228,6 +275,46 @@ class TestSelectLambda:
         tol = 1e-9
         assert all(r2 >= r1 - tol for r1, r2 in zip(residuals, residuals[1:]))
         assert all(s2 <= s1 + tol for s1, s2 in zip(smoothness, smoothness[1:]))
+
+    def test_matches_sparse_reference(self, ex3e_noisy_setup, tikhonov_reference):
+        s = ex3e_noisy_setup
+        _, reference_search = tikhonov_reference
+        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
+                               s["preset"].noise, sigma_abs=s["sigma"])
+        assert lam == reference_search(s["design"], s["penalty"], s["g_tilde"], s["sigma"],
+                                       dr.TikhonovConfig())
+
+    def test_logs_search_once(self, ex3e_noisy_setup, caplog):
+        s = ex3e_noisy_setup
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
+                                   s["preset"].noise, sigma_abs=s["sigma"])
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "bracket" in message and "bisection solves" in message
+        assert f"lambda {lam!r}" in message and "target" in message
+
+    def test_factorization_failure_ends_scan(self, caplog):
+        # zero data keeps the residual at 0, so only the conditioning limit
+        # stops the scan before lambda_max
+        n = 21
+        design = dr.build_design_matrix(n)
+        penalty = dr.build_regularization_matrix(n)
+        cfg = dr.TikhonovConfig(lambda_max=1e80)
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            with pytest.warns(UserWarning, match="lambda_min"):
+                lam = dr.select_lambda(design, penalty, np.zeros(n), dr.NoiseSpec(level=0.5),
+                                       sigma_abs=1.0, config=cfg)
+        assert lam == 1e-12
+        n_grid = int(re.search(r"(\d+) grid", caplog.records[0].getMessage()).group(1))
+        assert n_grid < cfg.grid_points
+
+    def test_other_design_rejected(self):
+        n = 11
+        design = scipy.sparse.identity(n, format="csr")
+        penalty = dr.build_regularization_matrix(n)
+        with pytest.raises(ConfigurationError, match="design"):
+            dr.select_lambda(design, penalty, np.ones(n), dr.NoiseSpec(level=0.01))
 
     def test_no_qualifying_lambda_warns(self):
         # tiny search window, noise far larger than the data scale
@@ -276,6 +363,8 @@ class TestTikhonovConfig:
             dr.TikhonovConfig(lam=0.0)
         with pytest.raises(ConfigurationError, match="lambda"):
             dr.TikhonovConfig(lambda_min=1.0, lambda_max=0.5)
+        with pytest.raises(ConfigurationError, match="lambda"):
+            dr.TikhonovConfig(lambda_max=float("inf"))
 
     def test_ceiling_scales_with_data_size(self):
         cfg = dr.TikhonovConfig()
