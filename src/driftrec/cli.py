@@ -20,10 +20,10 @@ from .errors import ConfigurationError, NumericalError
 from .experiments import (
     FORMATS,
     PRESET_NAMES,
-    ExperimentPreset,
     make_preset,
     mollify_data,
     run_experiment,
+    run_suite,
     synthesize,
 )
 from .forward import solve_forward
@@ -44,38 +44,25 @@ def _parse_lambda(text: str) -> float | None:
     return value
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("preset", help=f"preset name, one of: {', '.join(PRESET_NAMES)}")
-    p.add_argument("--grid-m", type=int, default=None, help="spatial interval count")
-    p.add_argument("--grid-n", type=int, default=None, help="time step count")
-    p.add_argument("--refine", type=int, default=None, help="data-generation refinement factor")
-    p.add_argument("--data-points", type=int, default=None, help="data grid size")
-    p.add_argument("--noise", type=float, default=None, help="relative noise level, e.g. 0.01")
-    p.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                   help="penalty weight, a number or 'auto'")
-    p.add_argument("--no-mollify", action="store_true", help="skip data mollification")
-    p.add_argument("--seed", type=int, default=None, help="noise RNG seed")
-    p.add_argument("--max-iter", type=int, default=None, help="fixed-point iteration budget")
-    p.add_argument("--tol", type=float, default=None, help="stopping step tolerance")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--formats", default=",".join(FORMATS),
-                   help="comma-separated subset of csv,json,svg")
+# Flags that override a preset field; each dest is its make_preset keyword.
+_PRESET_FLAGS = {
+    "--grid-m": dict(dest="grid_m", type=int, help="spatial interval count"),
+    "--grid-n": dict(dest="grid_n", type=int, help="time step count"),
+    "--refine": dict(dest="refinement", type=int, help="data-generation refinement factor"),
+    "--data-points": dict(dest="data_points", type=int, help="data grid size"),
+    "--noise": dict(dest="noise_level", type=float, help="relative noise level, e.g. 0.01"),
+    "--lambda": dict(dest="lam", type=_parse_lambda, help="penalty weight, a number or 'auto'"),
+    "--no-mollify": dict(dest="mollify", action="store_false", help="skip data mollification"),
+    "--seed": dict(dest="seed", type=int, help="noise RNG seed"),
+    "--max-iter": dict(dest="max_iter", type=int, help="fixed-point iteration budget"),
+    "--tol": dict(dest="tol_step", type=float, help="stopping step tolerance"),
+}
 
 
-def _preset_from_args(args) -> ExperimentPreset:
-    return make_preset(
-        args.preset,
-        grid_m=args.grid_m,
-        grid_n=args.grid_n,
-        refinement=args.refine,
-        data_points=args.data_points,
-        noise_level=args.noise,
-        seed=args.seed,
-        mollify=False if args.no_mollify else None,
-        max_iter=args.max_iter,
-        tol_step=args.tol,
-        lam=args.lam,
-    )
+def _overrides(args) -> dict:
+    """The make_preset keywords of the preset flags given on the command line."""
+    dests = {spec["dest"] for spec in _PRESET_FLAGS.values()}
+    return {key: value for key, value in vars(args).items() if key in dests}
 
 
 def _formats_from_args(args) -> tuple[str, ...]:
@@ -87,7 +74,7 @@ def _formats_from_args(args) -> tuple[str, ...]:
 
 
 def cmd_forward(args) -> int:
-    preset = _preset_from_args(args)
+    preset = make_preset(args.preset, **_overrides(args))
     m, n = preset.solver_grid
     grids = build_grids(m, n, preset.spec.horizon)
     q_true = GridFunction.sample(grids.space, preset.q_true)
@@ -107,9 +94,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_mollify(args) -> int:
-    preset = _preset_from_args(args)
-    if preset.noise is None or preset.noise.level <= 0.0:
-        raise ConfigurationError("mollify needs a positive --noise level")
+    preset = make_preset(args.preset, mollify=True, **_overrides(args))
     _, g_exact, g_measured = synthesize(preset)
     g_star, record = mollify_data(preset, g_exact, g_measured)
     err_before = float(np.linalg.norm(g_measured - g_exact))
@@ -146,13 +131,15 @@ def _report_bundle(bundle) -> int:
 
 
 def cmd_invert(args) -> int:
-    bundle = run_experiment(_preset_from_args(args), args.out, _formats_from_args(args))
+    bundle = run_experiment(make_preset(args.preset, **_overrides(args)), args.out,
+                            _formats_from_args(args))
     return _report_bundle(bundle)
 
 
 def cmd_experiment(args) -> int:
     out = args.out if args.out is not None else Path("runs") / args.preset
-    bundle = run_experiment(_preset_from_args(args), out, _formats_from_args(args))
+    bundle = run_experiment(make_preset(args.preset, **_overrides(args)), out,
+                            _formats_from_args(args))
     code = _report_bundle(bundle)
     print(f"outputs in {out}")
     return code
@@ -160,22 +147,24 @@ def cmd_experiment(args) -> int:
 
 def cmd_suite(args) -> int:
     out_root = args.out if args.out is not None else Path("runs")
-    fmts = _formats_from_args(args)
-    worst = EXIT_OK
-    for name in PRESET_NAMES:
-        bundle = run_experiment(
-            make_preset(
-                name,
-                refinement=args.refine,
-                data_points=args.data_points,
-                seed=args.seed,
-            ),
-            Path(out_root) / name,
-            fmts,
-        )
-        worst = max(worst, _report_bundle(bundle))
+    results = run_suite(out_root, _formats_from_args(args), **_overrides(args))
+    codes = [_report_bundle(bundle) for bundle in results.values()]
     print(f"outputs in {out_root}")
-    return worst
+    return max(codes)
+
+
+def _add_subcommand(sub, name, func, help_text, flags, *, preset=True, formats=True) -> None:
+    p = sub.add_parser(name, help=help_text)
+    if preset:
+        p.add_argument("preset", help=f"preset name, one of: {', '.join(PRESET_NAMES)}")
+    for flag in flags:
+        # a flag left off the command line stays out of the namespace: the preset default holds
+        p.add_argument(flag, default=argparse.SUPPRESS, **_PRESET_FLAGS[flag])
+    p.add_argument("--out", type=Path, default=None, help="output directory")
+    if formats:
+        p.add_argument("--formats", default=",".join(FORMATS),
+                       help="comma-separated subset of csv,json,svg")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,31 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recover the drift coefficient of a 1D parabolic equation from final-time data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("forward", help="solve the forward problem with the preset's true drift")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_forward)
-
-    p = sub.add_parser("mollify", help="synthesize noisy data and mollify it")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_mollify)
-
-    p = sub.add_parser("invert", help="run the full reconstruction, print metrics")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("experiment", help="run one preset and write the output bundle")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_experiment)
-
-    p = sub.add_parser("suite", help="run all presets")
-    p.add_argument("--refine", type=int, default=None)
-    p.add_argument("--data-points", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--formats", default=",".join(FORMATS))
-    p.set_defaults(func=cmd_suite)
-
+    _add_subcommand(sub, "forward", cmd_forward,
+                    "solve the forward problem with the preset's true drift",
+                    ("--grid-m", "--grid-n"), formats=False)
+    _add_subcommand(sub, "mollify", cmd_mollify, "synthesize noisy data and mollify it",
+                    ("--grid-m", "--grid-n", "--refine", "--data-points", "--noise", "--lambda",
+                     "--seed"), formats=False)
+    _add_subcommand(sub, "invert", cmd_invert, "run the full reconstruction, print metrics",
+                    _PRESET_FLAGS)
+    _add_subcommand(sub, "experiment", cmd_experiment,
+                    "run one preset and write the output bundle", _PRESET_FLAGS)
+    _add_subcommand(sub, "suite", cmd_suite, "run all presets",
+                    ("--refine", "--data-points", "--seed"), preset=False)
     return parser
 
 

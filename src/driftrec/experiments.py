@@ -39,7 +39,6 @@ from .mollify import (
     assemble_rhs,
     build_design_matrix,
     build_regularization_matrix,
-    fit_residual,
     noise_sigma,
     restrict,
     select_lambda,
@@ -126,6 +125,9 @@ class ExperimentPreset:
                 f"data_points must be >= grid_m + 1 = {self.solver_grid[0] + 1}, "
                 f"got {self.data_points}"
             )
+        if self.mollify and (self.noise is None or self.noise.level <= 0.0):
+            # nothing to denoise: a run would skip the step yet record mollify=true
+            raise ConfigurationError("mollify needs a noise level > 0")
 
 
 _PRESET_TABLE = {
@@ -226,7 +228,7 @@ def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray, np.nda
 
     x_data = np.linspace(0.0, 1.0, preset.data_points)
     g_exact = np.interp(x_data, fine.space.nodes, g_fine)
-    if preset.noise is not None and preset.noise.level > 0.0:
+    if preset.noise is not None:
         g_measured = add_noise(g_exact, preset.noise)
     else:
         g_measured = g_exact.copy()
@@ -254,15 +256,14 @@ def mollify_data(
         lam = preset.tikhonov.lam
         mode = "fixed"
     else:
-        lam = select_lambda(design, penalty, g_tilde, preset.noise,
-                            sigma_abs=sigma_abs, config=preset.tikhonov)
+        lam = select_lambda(design, penalty, g_tilde, sigma_abs, preset.tikhonov)
         mode = "discrepancy"
     g_star = solve_tikhonov(design, penalty, g_tilde, lam)
     record = {
         "lambda": float(lam),
         "mode": mode,
-        "residual": fit_residual(g_star, g_tilde),
-        "target": float(preset.tikhonov.safety * np.sqrt(n_pts) * sigma_abs),
+        "residual": float(np.linalg.norm(design @ g_star - g_tilde)),
+        "target": preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
         "sigma_abs": float(sigma_abs),
         "data_points": int(n_pts),
     }
@@ -288,7 +289,7 @@ def run_experiment(
 
     x_data, g_exact, g_measured = synthesize(preset)
 
-    if preset.mollify and preset.noise is not None and preset.noise.level > 0.0:
+    if preset.mollify:
         g_star, mollification = mollify_data(preset, g_exact, g_measured)
     else:
         g_star, mollification = g_measured, None
@@ -429,10 +430,13 @@ def emit_outputs(
 def run_suite(
     out_root: str | Path,
     formats: tuple[str, ...] = FORMATS,
-    names: tuple[str, ...] = PRESET_NAMES,
+    **overrides,
 ) -> dict[str, ResultBundle]:
-    """Run every preset, each into its own subdirectory of `out_root`."""
-    results: dict[str, ResultBundle] = {}
-    for name in names:
-        results[name] = run_experiment(name, Path(out_root) / name, formats)
-    return results
+    """Run every preset, each into its own subdirectory of `out_root`.
+
+    `overrides` are `make_preset` keywords applied to every preset.
+    """
+    return {
+        name: run_experiment(make_preset(name, **overrides), Path(out_root) / name, formats)
+        for name in PRESET_NAMES
+    }

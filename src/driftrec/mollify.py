@@ -14,7 +14,7 @@ positive definite, so the solve is O(K) however large the data grid is.
 Only lambda changes while the discrepancy principle searches for it, so
 the bands of A^T A and R^T R and the right-hand side A^T g~ are built once
 per search.  Each lambda then costs one O(K) banded Cholesky solve (LAPACK
-dpbsv) and a closed-form fit residual.
+dpbsv) and the fit residual ||A g - g~||.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class TikhonovConfig:
         # beyond ~1e14 the normal equations stop being numerically definite
         return 1e14 * float(n_points - 1) ** 4
 
+    def discrepancy_target(self, n_points: int, sigma_abs: float) -> float:
+        """Fit residual the discrepancy principle aims for: safety * sqrt(K) * sigma."""
+        return float(self.safety * np.sqrt(n_points) * sigma_abs)
+
 
 def noise_sigma(g_exact: np.ndarray, noise: NoiseSpec) -> float:
     """Absolute noise standard deviation: level times sup of the data."""
@@ -111,16 +115,6 @@ def build_design_matrix(n_points: int) -> scipy.sparse.csr_matrix:
     sub = np.zeros(n_points - 1)
     sub[-1] = -1.0
     return scipy.sparse.diags([sub, main, sup], offsets=[-1, 0, 1], format="csr")
-
-
-def fit_residual(g: np.ndarray, g_tilde: np.ndarray) -> float:
-    """||A g - g~|| for A = `build_design_matrix(K)`, without the product:
-    interior rows are g - g~, the first and last rows the boundary first
-    differences g_1 - g_0 and g_{K-1} - g_{K-2} minus g~ there."""
-    r = g - g_tilde
-    r[0] = g[1] - g[0] - g_tilde[0]
-    r[-1] = g[-1] - g[-2] - g_tilde[-1]
-    return float(np.linalg.norm(r))
 
 
 def build_regularization_matrix(n_points: int) -> scipy.sparse.csr_matrix:
@@ -211,19 +205,17 @@ def select_lambda(
     design: scipy.sparse.spmatrix,
     penalty: scipy.sparse.spmatrix,
     g_tilde: np.ndarray,
-    noise: NoiseSpec,
-    sigma_abs: float | None = None,
+    sigma_abs: float,
     config: TikhonovConfig | None = None,
 ) -> float:
     """Discrepancy-principle search for the penalty weight.
 
-    Finds the smallest lambda whose fit residual reaches
-    safety * sqrt(K) * sigma: a logarithmic grid scan brackets the
-    crossing, then bisection in log-lambda pins it down.  If even the
-    largest lambda falls short, the smallest grid value is returned with a
-    warning.  `sigma_abs` defaults to level * sup of the interior samples
-    (pass the exact scale when it is known).  `design` must be
-    `build_design_matrix(K)`, whose residual `fit_residual` computes.
+    Finds the smallest lambda whose fit residual ||A g - g~|| reaches
+    `config.discrepancy_target(K, sigma_abs)`: a logarithmic grid scan
+    brackets the crossing, then bisection in log-lambda pins it down.  If
+    even the largest lambda falls short, the smallest grid value is
+    returned with a warning.  A solve that fails on conditioning ends the
+    scan or the bisection, like the end of the range would.
 
     The normal-equation bands are built once; each lambda then costs one
     O(K) banded Cholesky solve.  The search path is logged at DEBUG.
@@ -232,15 +224,12 @@ def select_lambda(
     fit, pen, rhs = normal_equations(design, penalty, g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
-    if (design != build_design_matrix(n)).nnz:
-        raise ConfigurationError(f"select_lambda needs the design matrix of {n} data points")
-    if sigma_abs is None:
-        sigma_abs = noise.level * float(np.max(np.abs(g_tilde[1:-1])))
-    target = float(cfg.safety * np.sqrt(n) * sigma_abs)
+    target = cfg.discrepancy_target(n, sigma_abs)
     residuals = {}
 
     def reached(lam: float) -> bool:
-        residuals[lam] = fit_residual(_solve_bands(fit, pen, rhs, lam), g_tilde)
+        g = _solve_bands(fit, pen, rhs, lam)
+        residuals[lam] = float(np.linalg.norm(design @ g - g_tilde))
         return residuals[lam] >= target
 
     lam_max = cfg.resolved_lambda_max(n)
@@ -272,10 +261,13 @@ def select_lambda(
             if mid <= lo or mid >= hi:
                 break
             n_bisect += 1
-            if reached(mid):
-                hi = mid
-            else:
-                lo = mid
+            try:
+                if reached(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            except IllPosedError:
+                break  # keep the smallest lambda so far that solved and reached the target
     _log.debug(
         "lambda search: bracket %r, %d grid + %d bisection solves, "
         "lambda %r, residual %r, target %r",

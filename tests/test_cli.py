@@ -30,6 +30,16 @@ class TestExitCodes:
         assert main(["invert", "ex3e", *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["forward", "ex1a", "--noise", "0.05"],
+        ["forward", "ex1a", "--formats", "json"],
+        ["mollify", "ex3e", "--no-mollify"],
+        ["mollify", "ex3e", "--max-iter", "2"],
+    ])
+    def test_flag_the_subcommand_does_not_read(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         code = main(["experiment", "ex3e", "--noise", "0.5", "--seed", "3", "--no-mollify",
                      "--out", str(tmp_path)])
@@ -85,8 +95,11 @@ class TestCommands:
         assert not (tmp_path / "figure-ex1b.svg").exists()
 
     def test_suite(self, tmp_path, capsys):
-        code = main(["suite", "--data-points", "1001", "--out", str(tmp_path),
+        code = main(["suite", "--data-points", "1001", "--seed", "5", "--out", str(tmp_path),
                      "--formats", "json"])
         assert code == 0
         for name in ("ex1a", "ex1b", "ex2c", "ex2d", "ex3e", "ex3f"):
             assert (tmp_path / name / "trace.json").exists()
+            provenance = json.loads((tmp_path / name / "trace.json").read_text())["provenance"]
+            assert provenance["data_points"] == 1001
+        assert json.loads((tmp_path / "ex3e" / "trace.json").read_text())["provenance"]["seed"] == 5

@@ -59,6 +59,11 @@ class TestPresets:
         assert p.iteration.max_iter == 9 and p.iteration.tol_step == 1e-6
         assert p.tikhonov.lam == 0.5
 
+    @pytest.mark.parametrize("noise_level", [None, 0.0])
+    def test_mollify_without_noise_rejected(self, noise_level):
+        with pytest.raises(ConfigurationError, match="noise"):
+            dr.make_preset("ex1a", noise_level=noise_level, mollify=True)
+
     def test_data_grid_coarser_than_solver_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="grid_m"):
             dr.make_preset("ex3e", data_points=20)
@@ -206,6 +211,14 @@ class TestSuite:
         for name, bundle in results.items():
             assert bundle.status == "ok", f"{name} failed: {bundle.error}"
             assert (tmp_path / name / "trace.json").exists()
+
+    def test_overrides_reach_every_preset(self, tmp_path):
+        results = dr.run_suite(tmp_path, formats=("json",), data_points=1001)
+        assert set(results) == set(dr.PRESET_NAMES)
+        for name, bundle in results.items():
+            assert bundle.preset.data_points == 1001
+            doc = json.loads((tmp_path / name / "trace.json").read_text())
+            assert doc["provenance"]["data_points"] == 1001
 
     def test_noise_override_mollifies_by_default(self):
         p = dr.make_preset("ex1a", noise_level=0.01)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError, IllPosedError
-from driftrec.mollify import fit_residual
 
 
 def _objective(design, penalty, g_tilde, lam, g):
@@ -81,14 +80,6 @@ class TestDesignMatrix:
     def test_too_small(self):
         with pytest.raises(ConfigurationError, match="3"):
             dr.build_design_matrix(2)
-
-    def test_fit_residual_matches_product(self):
-        rng = np.random.default_rng(5)
-        for n in [3, 4, 57] * 20:
-            g = rng.standard_normal(n)
-            g_tilde = rng.standard_normal(n)
-            expected = np.linalg.norm(dr.build_design_matrix(n) @ g - g_tilde)
-            assert fit_residual(g, g_tilde) == expected
 
 
 class TestRegularizationMatrix:
@@ -216,7 +207,7 @@ class TestSolveTikhonov:
         with pytest.raises(ConfigurationError, match="finite"):
             dr.solve_tikhonov(design, penalty, g_tilde, 1.0)
         with pytest.raises(ConfigurationError, match="finite"):
-            dr.select_lambda(design, penalty, g_tilde, dr.NoiseSpec(level=0.01), sigma_abs=0.01)
+            dr.select_lambda(design, penalty, g_tilde, 0.01)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 200), log_lam=st.floats(-12.0, 20.0), seed=st.integers(0, 2**32 - 1))
@@ -241,13 +232,12 @@ class TestSelectLambda:
         g = np.linspace(1.0, 2.0, n)
         design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
-        lam = dr.select_lambda(design, penalty, g, dr.NoiseSpec(level=0.0), sigma_abs=0.0)
+        lam = dr.select_lambda(design, penalty, g, 0.0)
         assert lam == 1e-12
 
     def test_residual_brackets_target(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
-                               s["preset"].noise, sigma_abs=s["sigma"])
+        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
         residual = np.linalg.norm(s["design"] @ g_star - s["g_tilde"])
         target = 1.01 * np.sqrt(s["g_tilde"].size) * s["sigma"]
@@ -256,8 +246,7 @@ class TestSelectLambda:
 
     def test_mollification_reduces_data_error(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
-                               s["preset"].noise, sigma_abs=s["sigma"])
+        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
         assert (np.linalg.norm(g_star - s["g_exact"])
                 < np.linalg.norm(s["g_noisy"] - s["g_exact"]))
@@ -279,16 +268,14 @@ class TestSelectLambda:
     def test_matches_sparse_reference(self, ex3e_noisy_setup, tikhonov_reference):
         s = ex3e_noisy_setup
         _, reference_search = tikhonov_reference
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
-                               s["preset"].noise, sigma_abs=s["sigma"])
+        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         assert lam == reference_search(s["design"], s["penalty"], s["g_tilde"], s["sigma"],
                                        dr.TikhonovConfig())
 
     def test_logs_search_once(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
-                                   s["preset"].noise, sigma_abs=s["sigma"])
+            lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "bracket" in message and "bisection solves" in message
@@ -303,18 +290,20 @@ class TestSelectLambda:
         cfg = dr.TikhonovConfig(lambda_max=1e80)
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
             with pytest.warns(UserWarning, match="lambda_min"):
-                lam = dr.select_lambda(design, penalty, np.zeros(n), dr.NoiseSpec(level=0.5),
-                                       sigma_abs=1.0, config=cfg)
+                lam = dr.select_lambda(design, penalty, np.zeros(n), 1.0, cfg)
         assert lam == 1e-12
         n_grid = int(re.search(r"(\d+) grid", caplog.records[0].getMessage()).group(1))
         assert n_grid < cfg.grid_points
 
-    def test_other_design_rejected(self):
-        n = 11
-        design = scipy.sparse.identity(n, format="csr")
+    def test_factorization_failure_ends_bisection(self):
+        # the near-singular solve at the top of the scan blows the residual
+        # past the target, so the bisection meets the conditioning limit
+        n = 5
+        design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
-        with pytest.raises(ConfigurationError, match="design"):
-            dr.select_lambda(design, penalty, np.ones(n), dr.NoiseSpec(level=0.01))
+        g = np.linspace(0.0, 1e-3, n)
+        lam = dr.select_lambda(design, penalty, g, 10.0, dr.TikhonovConfig(lambda_max=1e80))
+        assert np.all(np.isfinite(dr.solve_tikhonov(design, penalty, g, lam)))
 
     def test_no_qualifying_lambda_warns(self):
         # tiny search window, noise far larger than the data scale
@@ -324,8 +313,7 @@ class TestSelectLambda:
         penalty = dr.build_regularization_matrix(n)
         cfg = dr.TikhonovConfig(lambda_min=1e-12, lambda_max=1e-11)
         with pytest.warns(UserWarning, match="lambda_min"):
-            lam = dr.select_lambda(design, penalty, g, dr.NoiseSpec(level=0.5),
-                                   sigma_abs=10.0, config=cfg)
+            lam = dr.select_lambda(design, penalty, g, 10.0, cfg)
         assert lam == 1e-12
 
 
