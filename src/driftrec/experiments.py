@@ -241,9 +241,9 @@ def mollify_data(
     """Denoise the measurement with the preset's Tikhonov settings.
 
     The penalty weight is the preset's fixed `lam` or else the
-    discrepancy-principle choice for the preset's noise level.  Returns the
-    mollified data g* and a record of the weight, the fit residual and
-    the discrepancy target.
+    discrepancy-principle choice, which needs the preset's noise level.
+    Returns the mollified data g* and a record of the weight, the fit
+    residual, sigma and the discrepancy target (both None without noise).
     """
     spec = preset.spec
     n_pts = preset.data_points
@@ -251,20 +251,19 @@ def mollify_data(
     penalty = build_regularization_matrix(n_pts)
     h_data = 1.0 / (n_pts - 1)
     g_tilde = assemble_rhs(g_measured, spec.left_flux, float(spec.right_flux(spec.horizon)), h_data)
-    sigma_abs = noise_sigma(g_exact, preset.noise)
-    if preset.tikhonov.lam is not None:
-        lam = preset.tikhonov.lam
-        mode = "fixed"
-    else:
+    sigma_abs = noise_sigma(g_exact, preset.noise) if preset.noise is not None else None
+    lam = preset.tikhonov.lam
+    if lam is None:
+        if sigma_abs is None:
+            raise ConfigurationError("discrepancy search needs a noise level")
         lam = select_lambda(design, penalty, g_tilde, sigma_abs, preset.tikhonov)
-        mode = "discrepancy"
     g_star = solve_tikhonov(design, penalty, g_tilde, lam)
     record = {
         "lambda": float(lam),
-        "mode": mode,
+        "mode": "fixed" if preset.tikhonov.lam is not None else "discrepancy",
         "residual": float(np.linalg.norm(design @ g_star - g_tilde)),
-        "target": preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
-        "sigma_abs": float(sigma_abs),
+        "target": None if sigma_abs is None else preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
+        "sigma_abs": sigma_abs,
         "data_points": int(n_pts),
     }
     return g_star, record

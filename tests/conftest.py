@@ -95,7 +95,8 @@ def tikhonov_solve(design, penalty, g_tilde, lam):
 
 def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
     """Discrepancy search with one full reference solve and one sparse
-    residual product per lambda; returns lambda_min when nothing reaches
+    residual product per lambda: the `grid_points` scan, then log-lambda
+    bisection until hi/lo <= 1.05; returns lambda_min when nothing reaches
     the target."""
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
@@ -116,10 +117,8 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
         lo = float(lam)
     if hi is None or lo is None:
         return float(config.lambda_min) if hi is None else hi
-    for _ in range(60):
-        mid = float(np.sqrt(lo * hi))
-        if mid <= lo or mid >= hi:
-            break
+    while hi > 1.05 * lo:
+        mid = float(np.sqrt(lo) * np.sqrt(hi))
         if reached(mid):
             hi = mid
         else:

@@ -110,6 +110,22 @@ class TestGenerateData:
             dr.make_preset("ex1a", refinement=0)
 
 
+class TestMollifyData:
+    def test_fixed_lambda_without_noise_records_no_sigma(self):
+        preset = dr.make_preset("ex1a", data_points=1001, lam=1.0)
+        _, g_exact, g_measured = dr.synthesize(preset)
+        g_star, record = dr.mollify_data(preset, g_exact, g_measured)
+        assert record["sigma_abs"] is None and record["target"] is None
+        assert record["mode"] == "fixed" and record["lambda"] == 1.0
+        assert np.all(np.isfinite(g_star))
+
+    def test_discrepancy_search_without_noise_rejected(self):
+        preset = dr.make_preset("ex1a", data_points=1001)
+        _, g_exact, g_measured = dr.synthesize(preset)
+        with pytest.raises(ConfigurationError, match="noise level"):
+            dr.mollify_data(preset, g_exact, g_measured)
+
+
 class TestRunExperiment:
     def test_accepts_preset_name(self):
         bundle = dr.run_experiment("ex1a")

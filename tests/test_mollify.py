@@ -295,15 +295,33 @@ class TestSelectLambda:
         n_grid = int(re.search(r"(\d+) grid", caplog.records[0].getMessage()).group(1))
         assert n_grid < cfg.grid_points
 
-    def test_factorization_failure_ends_bisection(self):
+    def test_factorization_failure_ends_bisection(self, caplog):
         # the near-singular solve at the top of the scan blows the residual
-        # past the target, so the bisection meets the conditioning limit
+        # past the target, so the bisection meets the conditioning limit;
+        # the scan needs 60 points to land on such a lambda before failing
         n = 5
         design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
         g = np.linspace(0.0, 1e-3, n)
-        lam = dr.select_lambda(design, penalty, g, 10.0, dr.TikhonovConfig(lambda_max=1e80))
+        cfg = dr.TikhonovConfig(lambda_max=1e80, grid_points=60)
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            lam = dr.select_lambda(design, penalty, g, 10.0, cfg)
         assert np.all(np.isfinite(dr.solve_tikhonov(design, penalty, g, lam)))
+        n_bisect = int(re.search(r"(\d+) bisection", caplog.records[0].getMessage()).group(1))
+        assert n_bisect >= 1
+
+    def test_default_search_budget(self, ex3e_noisy_setup, caplog):
+        s = ex3e_noisy_setup
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+        message = caplog.records[0].getMessage()
+        n_grid, n_bisect = map(int, re.search(r"(\d+) grid \+ (\d+) bisection", message).groups())
+        lo, hi = map(float, re.search(r"final bracket \(([^,]+), ([^)]+)\)", message).groups())
+        assert n_grid + n_bisect <= 17
+        assert hi == lam and hi / lo <= 1.05
+        g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
+        target = dr.TikhonovConfig().discrepancy_target(s["g_tilde"].size, s["sigma"])
+        assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
     def test_no_qualifying_lambda_warns(self):
         # tiny search window, noise far larger than the data scale
