@@ -21,7 +21,6 @@ from .model import (
     GridFunction,
     GridPair,
     ProblemSpec,
-    SpaceTimeField,
     SpatialGrid,
     TemporalGrid,
     apply_stencil,
@@ -30,9 +29,11 @@ from .model import (
     validate_assumptions,
 )
 from .forward import (
+    FinalLevels,
     TridiagonalSystem,
     assemble_step_matrix,
     final_time_derivative,
+    march,
     solve_forward,
     thomas_solve,
 )
@@ -83,7 +84,6 @@ __all__ = [
     "GridPair",
     "ProblemSpec",
     "GridFunction",
-    "SpaceTimeField",
     "AssumptionReport",
     "build_grids",
     "apply_stencil",
@@ -92,6 +92,8 @@ __all__ = [
     "TridiagonalSystem",
     "assemble_step_matrix",
     "thomas_solve",
+    "FinalLevels",
+    "march",
     "solve_forward",
     "final_time_derivative",
     "IterationConfig",

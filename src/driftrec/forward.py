@@ -9,22 +9,30 @@ One backward-Euler step of the discrete scheme reads, row by row,
 
 with d1, d2 the centered first/second differences.  The matrix does not
 depend on time, so each solve factorizes it once with LAPACK `dgttrf` and
-calls `dgttrs` once per step.  Row 0 is first eliminated from row 1 by one
-plain Thomas step: left to itself, `dgttrf`'s partial pivoting swaps the
-flux row (-1/h, 1/h) with row 1 (entries ~1/h^2), which lifts the
-steady-state deviation of acceptance criterion 1 from 1.3e-15 to 1.5e-12,
-over its 1e-12 bound.  The remaining rows may still pivot.
+calls `dgttrs` once per step, in place on that step's fresh right-hand
+side.  Row 0 is first eliminated from row 1 by one plain Thomas step: left
+to itself, `dgttrf`'s partial pivoting swaps the flux row (-1/h, 1/h) with
+row 1 (entries ~1/h^2), which lifts the steady-state deviation of
+acceptance criterion 1 from 1.3e-15 to 1.5e-12, over its 1e-12 bound.  The
+remaining rows may still pivot.
+
+`march` is the one time loop: it yields every level u^0, ..., u^N and
+holds only the current one.  The inversion reads the solution only at the
+final time (g = u^N, u_t ~ (u^N - u^{N-1})/tau), so `solve_forward` keeps
+just the last two levels: memory is O(m), not O(nm).
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConfigurationError, NumericalError, SingularSystemError
-from .model import GridFunction, GridPair, ProblemSpec, SpaceTimeField, _readonly, sample_on
+from .model import GridFunction, GridPair, ProblemSpec, _readonly, sample_on
 
 PIVOT_FLOOR = 1e-300
 
@@ -116,9 +124,9 @@ def _lu_factor(lower, diag, upper):
     return mult, (dl, d, du, du2, ipiv)
 
 
-def _lu_apply(factor, rhs) -> np.ndarray:
+def _lu_apply(factor, b: np.ndarray) -> np.ndarray:
+    """Solve with the factors of `_lu_factor`, overwriting the float64 vector b."""
     mult, lu = factor
-    b = np.array(rhs, dtype=float)
     b[1] -= mult * b[0]
     x, _ = dgttrs(*lu, b, overwrite_b=1)
     return x
@@ -126,45 +134,81 @@ def _lu_apply(factor, rhs) -> np.ndarray:
 
 def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
     """Solve the tridiagonal system: one Thomas step on row 0, then `dgttrf`/`dgttrs`."""
-    return _lu_apply(_lu_factor(system.lower, system.diag, system.upper), system.rhs)
+    return _lu_apply(_lu_factor(system.lower, system.diag, system.upper), np.array(system.rhs))
 
 
-def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> SpaceTimeField:
-    """March the implicit scheme from the sampled initial condition to T."""
+@dataclass(frozen=True, eq=False)
+class FinalLevels:
+    """The last two time levels of a forward solve over a grid pair.
+
+    `values` has shape (2, m+1): row 0 is u^{N-1} (u^0 when n_steps = 1)
+    and row 1 is u^N.  The array is not copied, only viewed read-only, and
+    not checked for finiteness: `march` checks every level it yields.
+    """
+
+    grids: GridPair
+    values: np.ndarray
+
+    def __post_init__(self):
+        vals = np.asarray(self.values, dtype=float)
+        shape = (2, self.grids.space.m + 1)
+        if vals.shape != shape:
+            raise ConfigurationError(f"final levels need shape {shape}, got {vals.shape}")
+        vals = vals.view()
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+    def final_time(self) -> GridFunction:
+        return GridFunction(self.grids.space, self.values[-1])
+
+
+def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[np.ndarray]:
+    """Yield the levels u^0, u^1, ..., u^N of the implicit scheme.
+
+    Each level is a fresh read-only array of length m+1: a step fills a new
+    right-hand side and `dgttrs` overwrites it with the solution, so a
+    caller that keeps a level is never aliased by the next step.
+    """
     space, time = grids.space, grids.time
     x = space.nodes
     tau = time.tau
-    n_steps = time.n_steps
 
     system = assemble_step_matrix(spec, drift, grids)
     factor = _lu_factor(system.lower, system.diag, system.upper)
 
-    u = np.empty((n_steps + 1, space.m + 1))
-    u[0] = sample_on(spec.initial, x)
-    if not np.all(np.isfinite(u[0])):
+    u = np.array(sample_on(spec.initial, x))  # a copy: the callable may return an array it keeps
+    if not np.all(np.isfinite(u)):
         raise ConfigurationError("initial condition sampled to non-finite values")
+    u.setflags(write=False)
+    yield u
 
     x_int = x[1:-1]
     f_int = None if spec.source_xt is not None else sample_on(spec.source, x_int)
 
     times = time.times
-    rhs = np.empty(space.m + 1)
-    for n in range(1, n_steps + 1):
+    for n in range(1, time.n_steps + 1):
         t_n = times[n]
-        rhs[0] = spec.left_flux
+        b = np.empty(space.m + 1)
+        b[0] = spec.left_flux
         if f_int is None:
-            rhs[1:-1] = u[n - 1][1:-1] / tau + np.asarray(spec.source_xt(x_int, t_n), dtype=float)
+            b[1:-1] = u[1:-1] / tau + np.asarray(spec.source_xt(x_int, t_n), dtype=float)
         else:
-            rhs[1:-1] = u[n - 1][1:-1] / tau + f_int
-        rhs[-1] = float(spec.right_flux(t_n))
-        u[n] = _lu_apply(factor, rhs)
-        if not np.all(np.isfinite(u[n])):
+            b[1:-1] = u[1:-1] / tau + f_int
+        b[-1] = float(spec.right_flux(t_n))
+        u = _lu_apply(factor, b)
+        if not np.all(np.isfinite(u)):
             raise NumericalError(f"forward solution became non-finite at step {n}")
+        u.setflags(write=False)
+        yield u
 
-    return SpaceTimeField(grids, u)
+
+def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> FinalLevels:
+    """March the implicit scheme from the sampled initial condition to T,
+    keeping only the last two levels."""
+    return FinalLevels(grids, np.stack(deque(march(spec, drift, grids), maxlen=2)))
 
 
-def final_time_derivative(field: SpaceTimeField) -> GridFunction:
+def final_time_derivative(field: FinalLevels) -> GridFunction:
     """Backward difference of the last two time levels, (u^N - u^{N-1})/tau."""
     tau = field.grids.time.tau
     vals = (field.values[-1] - field.values[-2]) / tau

@@ -143,26 +143,6 @@ class GridFunction:
         return cls(grid, sample_on(fn, grid.nodes))
 
 
-@dataclass(frozen=True, eq=False)
-class SpaceTimeField:
-    """Full solution array u[n, i] over a grid pair (n = time, i = space)."""
-
-    grids: GridPair
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        shape = (self.grids.time.n_steps + 1, self.grids.space.m + 1)
-        if vals.shape != shape:
-            raise ConfigurationError(f"field needs shape {shape}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("field values must all be finite")
-        object.__setattr__(self, "values", _readonly(vals))
-
-    def final_time(self) -> GridFunction:
-        return GridFunction(self.grids.space, self.values[-1])
-
-
 def apply_stencil(kind: str, u: GridFunction, tau: float | None = None) -> GridFunction:
     """Apply one of the four node-wise stencils of the discrete scheme.
 

@@ -38,6 +38,11 @@ _log = logging.getLogger(__name__)
 # own chi-square spread 1/sqrt(2K) = 0.7 % at K = 10001.
 _BRACKET_RATIO = 1.05
 
+# A search solve larger than this multiple of the data's sup norm counts as failed:
+# the normal equations are near-singular there, so its residual measures rounding,
+# not the fit.  On the paper presets every search solve stays within 1.0x the data.
+_BLOWUP_RATIO = 1e6
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -223,18 +228,24 @@ def select_lambda(
     falsi: near the crossing cond(A^T A + lambda R^T R) ~ 1e14 makes the
     residual jitter by 1-2 % and lose monotonicity.  If even the largest
     lambda falls short, the smallest grid value is returned with a warning.
-    A solve that fails on conditioning ends the scan or the bisection.  The
-    search path is logged at DEBUG.
+    A solve that fails on conditioning ends the scan or the bisection: one
+    whose normal equations are not positive definite, or whose solution
+    exceeds 1e6 times ||g~||_inf.  The search path is logged at DEBUG.
     """
     cfg = config or TikhonovConfig()
     fit, pen, rhs = normal_equations(design, penalty, g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
     target = cfg.discrepancy_target(n, sigma_abs)
+    g_bound = _BLOWUP_RATIO * float(np.max(np.abs(g_tilde)))
     residuals = {}
 
     def reached(lam: float) -> bool:
         g = _solve_bands(fit, pen, rhs, lam)
+        if not np.max(np.abs(g)) <= g_bound:
+            raise IllPosedError(
+                f"solution exceeds {_BLOWUP_RATIO:g} x ||g~||_inf (lambda={lam!r}): near-singular"
+            )
         residuals[lam] = float(np.linalg.norm(design @ g - g_tilde))
         return residuals[lam] >= target
 

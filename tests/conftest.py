@@ -97,13 +97,16 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
     """Discrepancy search with one full reference solve and one sparse
     residual product per lambda: the `grid_points` scan, then log-lambda
     bisection until hi/lo <= 1.05; returns lambda_min when nothing reaches
-    the target."""
+    the target.  A solve that fails, or whose solution exceeds 1e6 times
+    the data's sup norm, ends the scan or the bisection."""
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
     target = config.safety * np.sqrt(n) * sigma_abs
 
     def reached(lam):
         g_star = tikhonov_solve(design, penalty, g_tilde, lam)
+        if not np.max(np.abs(g_star)) <= 1e6 * np.max(np.abs(g_tilde)):
+            raise IllPosedError(f"near-singular solve at lambda={lam!r}")
         return np.linalg.norm(design @ g_star - g_tilde) >= target
 
     lo = hi = None
@@ -119,10 +122,13 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
         return float(config.lambda_min) if hi is None else hi
     while hi > 1.05 * lo:
         mid = float(np.sqrt(lo) * np.sqrt(hi))
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
+        try:
+            if reached(mid):
+                hi = mid
+            else:
+                lo = mid
+        except IllPosedError:
+            break
     return hi
 
 

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -153,14 +155,15 @@ class TestForwardSolve:
                               left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
         grids = dr.build_grids(25, 25, 1.0)
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
-        field = dr.solve_forward(spec, q, grids)
-        assert np.max(np.abs(field.values - 1.0)) <= 1e-12
+        levels = np.array(list(dr.march(spec, q, grids)))
+        assert np.max(np.abs(levels - 1.0)) <= 1e-12
 
     def test_initial_row_is_sampled_initial_condition(self, ex1_spec):
         grids = dr.build_grids(20, 5, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        field = dr.solve_forward(ex1_spec, q, grids)
-        assert np.array_equal(field.values[0], np.sin(np.pi * grids.space.nodes))
+        levels = list(dr.march(ex1_spec, q, grids))
+        assert len(levels) == grids.time.n_steps + 1
+        assert np.array_equal(levels[0], np.sin(np.pi * grids.space.nodes))
 
     def test_reference_setup_spatial_slope_positive(self, ex1_spec):
         grids = dr.build_grids(100, 100, 1.0)
@@ -192,7 +195,7 @@ class TestForwardSolve:
     def test_cached_factorization_matches_per_step_assembly(self, ex1_spec):
         grids = dr.build_grids(20, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        field = dr.solve_forward(ex1_spec, q, grids)
+        levels = list(dr.march(ex1_spec, q, grids))
 
         # re-march assembling the matrix (and factorization) at every step
         x = grids.space.nodes
@@ -206,7 +209,7 @@ class TestForwardSolve:
             rhs[1:-1] = u[1:-1] / tau + f_int
             rhs[-1] = ex1_spec.right_flux(grids.time.times[n])
             u = _lu_apply(_lu_factor(sys_.lower, sys_.diag, sys_.upper), rhs)
-            assert np.array_equal(u, field.values[n])
+            assert np.array_equal(u, levels[n])
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-0.5, 0.5),
@@ -217,13 +220,13 @@ class TestForwardSolve:
         grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
         x = grids.space.nodes
         q = dr.GridFunction(grids.space, a0 + a1 * np.sin(2.0 * np.pi * x + phase))
-        field = dr.solve_forward(ex1_spec, q, grids)
+        levels = list(dr.march(ex1_spec, q, grids))
 
         factor, apply = thomas_reference
         sys_ = dr.assemble_step_matrix(ex1_spec, q, grids)
         fac = factor(sys_.lower, sys_.diag, sys_.upper)
         u = dr.sample_on(ex1_spec.initial, x)
-        assert np.array_equal(u, field.values[0])
+        assert np.array_equal(u, levels[0])
         f_int = dr.sample_on(ex1_spec.source, x[1:-1])
         times = grids.time.times
         for n in range(1, n_steps + 1):
@@ -232,7 +235,43 @@ class TestForwardSolve:
             rhs[1:-1] = u[1:-1] / grids.time.tau + f_int
             rhs[-1] = ex1_spec.right_flux(times[n])
             u = apply(fac, rhs)
-            assert np.max(np.abs(field.values[n] - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
+            assert np.max(np.abs(levels[n] - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-0.5, 0.5),
+           a1=st.floats(0.0, 0.6), phase=st.floats(0.0, 2.0 * np.pi))
+    @example(m=3, n_steps=1, a0=0.0, a1=0.3, phase=0.0)  # previous level is u^0
+    def test_solve_forward_keeps_last_two_levels_of_march(self, ex1_spec, m, n_steps, a0, a1,
+                                                          phase):
+        grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
+        q = dr.GridFunction(grids.space,
+                            a0 + a1 * np.sin(2.0 * np.pi * grids.space.nodes + phase))
+        levels = list(dr.march(ex1_spec, q, grids))
+        field = dr.solve_forward(ex1_spec, q, grids)
+        assert np.array_equal(field.values, np.array(levels[-2:]))
+        assert not field.values.flags.writeable
+
+    def test_march_levels_are_fresh_read_only_arrays(self, ex1_spec):
+        grids = dr.build_grids(10, 4, 1.0)
+        q = dr.GridFunction.sample(grids.space, np.sin)
+        levels = list(dr.march(ex1_spec, q, grids))
+        for a, b in zip(levels, levels[1:]):
+            assert not np.shares_memory(a, b)
+        assert not any(level.flags.writeable for level in levels)
+
+    def test_memory_is_linear_in_m(self, ex1_spec):
+        # the stored field would take (n + 1)(m + 1) * 8 B = 5.1 MB
+        m = 800
+        grids = dr.build_grids(m, m, 1.0)
+        q = dr.GridFunction.sample(grids.space, np.sin)
+        tracemalloc.start()
+        try:
+            field = dr.solve_forward(ex1_spec, q, grids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.values.shape == (2, m + 1)
+        assert peak < 1e6
 
     def test_non_finite_step_raises(self):
         def src(x, t):
@@ -245,6 +284,10 @@ class TestForwardSolve:
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
         with pytest.raises(NumericalError, match="non-finite at step 2"):
             dr.solve_forward(spec, q, grids)
+        levels = dr.march(spec, q, grids)
+        assert len([next(levels), next(levels)]) == 2
+        with pytest.raises(NumericalError, match="non-finite at step 2"):
+            next(levels)
 
     def test_non_finite_initial_condition_raises(self):
         spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(np.nan),
@@ -306,8 +349,8 @@ class TestForwardSolve:
 class TestFinalTimeDerivative:
     def test_constant_in_time_field(self):
         grids = dr.build_grids(5, 3, 1.0)
-        vals = np.tile(np.linspace(0.0, 1.0, 6), (4, 1))
-        field = dr.SpaceTimeField(grids, vals)
+        vals = np.tile(np.linspace(0.0, 1.0, 6), (2, 1))
+        field = dr.FinalLevels(grids, vals)
         out = dr.final_time_derivative(field)
         assert np.all(out.values == 0.0)
 
@@ -315,10 +358,15 @@ class TestFinalTimeDerivative:
         grids = dr.build_grids(5, 4, 2.0)
         tau = grids.time.tau
         base = np.linspace(1.0, 2.0, 6)
-        vals = np.stack([base + n * tau * 3.0 for n in range(5)])
-        field = dr.SpaceTimeField(grids, vals)
+        vals = np.stack([base + n * tau * 3.0 for n in (3, 4)])
+        field = dr.FinalLevels(grids, vals)
         out = dr.final_time_derivative(field)
         assert np.max(np.abs(out.values - 3.0)) <= 1e-12
+
+    def test_other_shapes_rejected(self):
+        grids = dr.build_grids(5, 3, 1.0)
+        with pytest.raises(ConfigurationError, match=r"shape \(2, 6\)"):
+            dr.FinalLevels(grids, np.zeros((4, 6)))
 
     def test_reference_setup_nonnegative(self, ex1_spec):
         grids = dr.build_grids(100, 100, 1.0)

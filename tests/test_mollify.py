@@ -8,12 +8,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftrec as dr
+from driftrec import mollify
 from driftrec.errors import ConfigurationError, IllPosedError
 
 
 def _objective(design, penalty, g_tilde, lam, g):
     return (np.linalg.norm(design @ g - g_tilde) ** 2
             + lam * np.linalg.norm(penalty @ g) ** 2)
+
+
+def _fail_off_the_scan_grid(monkeypatch, n, cfg, failed_solve):
+    """Make every solve at a lambda off select_lambda's scan grid, that is
+    every bisection solve, return `failed_solve(solve, *args)` instead."""
+    grid = set(np.geomspace(cfg.lambda_min, cfg.resolved_lambda_max(n), cfg.grid_points).tolist())
+    solve = mollify._solve_bands
+
+    def patched(fit, pen, rhs, lam):
+        if lam in grid:
+            return solve(fit, pen, rhs, lam)
+        return failed_solve(solve, fit, pen, rhs, lam)
+
+    monkeypatch.setattr(mollify, "_solve_bands", patched)
+    return grid
+
+
+def _bisection_ended_at_first_solve(s, monkeypatch, caplog, failed_solve):
+    cfg = dr.TikhonovConfig()
+    grid = _fail_off_the_scan_grid(monkeypatch, s["g_tilde"].size, cfg, failed_solve)
+    with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"], cfg)
+    n_bisect = int(re.search(r"(\d+) bisection", caplog.records[0].getMessage()).group(1))
+    assert n_bisect == 1
+    assert lam in grid  # the scan's upper end, which solved and reached the target
+    g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
+    target = cfg.discrepancy_target(s["g_tilde"].size, s["sigma"])
+    assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
 
 @pytest.fixture(scope="module")
@@ -295,20 +324,32 @@ class TestSelectLambda:
         n_grid = int(re.search(r"(\d+) grid", caplog.records[0].getMessage()).group(1))
         assert n_grid < cfg.grid_points
 
-    def test_factorization_failure_ends_bisection(self, caplog):
-        # the near-singular solve at the top of the scan blows the residual
-        # past the target, so the bisection meets the conditioning limit;
-        # the scan needs 60 points to land on such a lambda before failing
+    def test_factorization_failure_ends_bisection(self, ex3e_noisy_setup, monkeypatch, caplog):
+        def not_positive_definite(solve, fit, pen, rhs, lam):
+            raise IllPosedError(f"normal equations not positive definite (lambda={lam!r})")
+
+        _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog,
+                                        not_positive_definite)
+
+    def test_blown_up_solve_ends_bisection(self, ex3e_noisy_setup, monkeypatch, caplog):
+        def blown_up(solve, fit, pen, rhs, lam):
+            return 1e7 * solve(fit, pen, rhs, lam)
+
+        _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog, blown_up)
+
+    def test_near_singular_solve_not_accepted(self):
+        # the 60-point scan lands on lambda = 1.54e19, where the solution
+        # reaches 5.3e11 for data of size 1e-3 and so "reaches" the target
         n = 5
         design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
         g = np.linspace(0.0, 1e-3, n)
         cfg = dr.TikhonovConfig(lambda_max=1e80, grid_points=60)
-        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+        with pytest.warns(UserWarning, match="returning lambda_min"):
             lam = dr.select_lambda(design, penalty, g, 10.0, cfg)
-        assert np.all(np.isfinite(dr.solve_tikhonov(design, penalty, g, lam)))
-        n_bisect = int(re.search(r"(\d+) bisection", caplog.records[0].getMessage()).group(1))
-        assert n_bisect >= 1
+        assert lam == cfg.lambda_min
+        g_star = dr.solve_tikhonov(design, penalty, g, lam)
+        assert np.max(np.abs(g_star)) <= 1e6 * np.max(np.abs(g))
 
     def test_default_search_budget(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
