@@ -30,12 +30,10 @@ from .model import (
 )
 from .forward import (
     FinalLevels,
-    TridiagonalSystem,
     assemble_step_matrix,
     final_time_derivative,
     march,
     solve_forward,
-    thomas_solve,
 )
 from .inversion import (
     IterationConfig,
@@ -43,7 +41,6 @@ from .inversion import (
     data_terms,
     drift_update,
     error_metrics,
-    initial_drift,
     run_iteration,
 )
 from .mollify import (
@@ -89,9 +86,7 @@ __all__ = [
     "apply_stencil",
     "sample_on",
     "validate_assumptions",
-    "TridiagonalSystem",
     "assemble_step_matrix",
-    "thomas_solve",
     "FinalLevels",
     "march",
     "solve_forward",
@@ -99,7 +94,6 @@ __all__ = [
     "IterationConfig",
     "IterationTrace",
     "data_terms",
-    "initial_drift",
     "drift_update",
     "run_iteration",
     "error_metrics",

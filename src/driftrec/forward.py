@@ -32,52 +32,20 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConfigurationError, NumericalError, SingularSystemError
-from .model import GridFunction, GridPair, ProblemSpec, _readonly, sample_on
+from .model import GridFunction, GridPair, ProblemSpec, sample_on
 
 PIVOT_FLOOR = 1e-300
 
 
-@dataclass(frozen=True, eq=False)
-class TridiagonalSystem:
-    """Banded storage of one linear step: lower/diag/upper bands plus rhs.
+def assemble_step_matrix(
+    spec: ProblemSpec, drift: GridFunction, grids: GridPair
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bands (lower, diag, upper) of the time-independent step matrix.
 
-    For order n >= 3 the bands have lengths n-1, n, n-1; lower[k] sits in
-    row k+1 and upper[k] in row k.  (scipy's `dgttrf` wrapper rejects
-    order 2, and every step matrix has order m + 1 >= 4.)
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        dg = np.asarray(self.diag, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
-        r = np.asarray(self.rhs, dtype=float)
-        n = dg.size
-        if n < 3 or lo.shape != (n - 1,) or up.shape != (n - 1,) or r.shape != (n,):
-            raise ConfigurationError(
-                f"bands need lengths n-1, n, n-1 and order n >= 3: lower {lo.shape}, "
-                f"diag {dg.shape}, upper {up.shape}, rhs {r.shape}"
-            )
-        object.__setattr__(self, "lower", _readonly(lo))
-        object.__setattr__(self, "diag", _readonly(dg))
-        object.__setattr__(self, "upper", _readonly(up))
-        object.__setattr__(self, "rhs", _readonly(r))
-
-    @property
-    def order(self) -> int:
-        return self.diag.size
-
-
-def assemble_step_matrix(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> TridiagonalSystem:
-    """Assemble the time-independent step matrix (rhs left at zero).
-
-    Interior row i carries lower = -1/h^2 - q_i/(2h), diag = 1/tau + 2/h^2
-    + C_p, upper = -1/h^2 + q_i/(2h); the two boundary rows are the
-    one-sided flux rows (-1/h, 1/h).
+    The bands have lengths m, m+1, m; lower[k] sits in row k+1 and
+    upper[k] in row k.  Interior row i carries lower = -1/h^2 - q_i/(2h),
+    diag = 1/tau + 2/h^2 + C_p, upper = -1/h^2 + q_i/(2h); the two
+    boundary rows are the one-sided flux rows (-1/h, 1/h).
     """
     space, time = grids.space, grids.time
     if drift.grid != space:
@@ -101,7 +69,7 @@ def assemble_step_matrix(spec: ProblemSpec, drift: GridFunction, grids: GridPair
     lower[-1] = -1.0 / h
     diag[-1] = 1.0 / h
 
-    return TridiagonalSystem(lower, diag, upper, np.zeros(m + 1))
+    return lower, diag, upper
 
 
 def _lu_factor(lower, diag, upper):
@@ -130,11 +98,6 @@ def _lu_apply(factor, b: np.ndarray) -> np.ndarray:
     b[1] -= mult * b[0]
     x, _ = dgttrs(*lu, b, overwrite_b=1)
     return x
-
-
-def thomas_solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the tridiagonal system: one Thomas step on row 0, then `dgttrf`/`dgttrs`."""
-    return _lu_apply(_lu_factor(system.lower, system.diag, system.upper), np.array(system.rhs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +136,7 @@ def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[n
     x = space.nodes
     tau = time.tau
 
-    system = assemble_step_matrix(spec, drift, grids)
-    factor = _lu_factor(system.lower, system.diag, system.upper)
+    factor = _lu_factor(*assemble_step_matrix(spec, drift, grids))
 
     u = np.array(sample_on(spec.initial, x))  # a copy: the callable may return an array it keeps
     if not np.all(np.isfinite(u)):

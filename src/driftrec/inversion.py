@@ -38,11 +38,10 @@ class IterationConfig:
     max_iter: int = 20
     tol_step: float = 1e-4
     denom_floor: float = 1e-3
-    clamp_to_initial: bool = False
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (self.tol_step > 0.0):
             raise ConfigurationError(f"tol_step must be > 0, got {self.tol_step}")
         if not (self.denom_floor > 0.0):
@@ -117,34 +116,25 @@ def data_terms(
     return GridFunction(grid, _fill_boundaries(q_int)), slope, hits
 
 
-def initial_drift(data: GridFunction, spec: ProblemSpec, cfg: IterationConfig | None = None) -> GridFunction:
-    """Upper-bound starting guess [f + g'' - C_p g] / g' (see `data_terms`)."""
-    return data_terms(data, spec, cfg)[0]
-
-
 def drift_update(
     drift: GridFunction,
     q0: GridFunction,
     slope: np.ndarray,
     spec: ProblemSpec,
     grids: GridPair,
-    cfg: IterationConfig | None = None,
 ) -> GridFunction:
     """One application of the fixed-point map (one forward solve).
 
     `q0` and `slope` are the initial guess and floored interior data
-    slopes from `data_terms`.  Nodewise the result is q0 - u_t(., T; drift)
-    / slope at interior nodes, with boundary values linearly extrapolated;
-    with `clamp_to_initial` it is additionally capped at q0.
+    slopes from `data_terms`, the only part of the map a config shapes.
+    Nodewise the result is q0 - u_t(., T; drift) / slope at interior
+    nodes, with boundary values linearly extrapolated.
     """
-    cfg = cfg or IterationConfig()
     field = solve_forward(spec, drift, grids)
     u_t = final_time_derivative(field)
 
     k_int = q0.values[1:-1] - u_t.values[1:-1] / slope
     values = _fill_boundaries(k_int)
-    if cfg.clamp_to_initial:
-        values = np.minimum(values, q0.values)
     if not np.all(np.isfinite(values)):
         raise NumericalError("drift update produced non-finite values")
     return GridFunction(q0.grid, values)
@@ -171,7 +161,7 @@ def run_iteration(
 
     for _ in range(cfg.max_iter):
         try:
-            q_next = drift_update(q_cur, q0, slope, spec, grids, cfg)
+            q_next = drift_update(q_cur, q0, slope, spec, grids)
         except NumericalError as exc:
             raise DivergenceError(f"iteration diverged: {exc}", trace=trace) from exc
         diff = q_next.values - q_cur.values

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-STENCIL_KINDS = ("time_flux", "interior", "centered_first", "centered_second")
+STENCIL_KINDS = ("centered_first", "centered_second")
 
 
 def sample_on(fn: Callable, xs: np.ndarray) -> np.ndarray:
@@ -143,27 +143,19 @@ class GridFunction:
         return cls(grid, sample_on(fn, grid.nodes))
 
 
-def apply_stencil(kind: str, u: GridFunction, tau: float | None = None) -> GridFunction:
-    """Apply one of the four node-wise stencils of the discrete scheme.
+def apply_stencil(kind: str, u: GridFunction) -> GridFunction:
+    """Apply one of the two centered differences of the discrete scheme.
 
-    time_flux        u_i/tau at interior nodes, one-sided first difference
-                     (u_1-u_0)/h and (u_m-u_{m-1})/h at the boundary nodes
-    interior         identity at interior nodes, zero at boundary nodes
     centered_first   (u_{i+1}-u_{i-1})/(2h) interior, zero at boundaries
     centered_second  (u_{i+1}-2u_i+u_{i-1})/h^2 interior, zero at boundaries
+
+    The time and flux rows of the scheme live in the step matrix
+    (`forward.assemble_step_matrix`).
     """
     v = u.values
     h = u.grid.h
     out = np.zeros_like(v)
-    if kind == "time_flux":
-        if tau is None or not (tau > 0.0):
-            raise ConfigurationError("stencil 'time_flux' requires tau > 0")
-        out[0] = (v[1] - v[0]) / h
-        out[1:-1] = v[1:-1] / tau
-        out[-1] = (v[-1] - v[-2]) / h
-    elif kind == "interior":
-        out[1:-1] = v[1:-1]
-    elif kind == "centered_first":
+    if kind == "centered_first":
         out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
     elif kind == "centered_second":
         out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2

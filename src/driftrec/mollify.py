@@ -83,8 +83,8 @@ class TikhonovConfig:
             )
         if not (self.lambda_min > 0.0):
             raise ConfigurationError(f"lambda_min must be > 0, got {self.lambda_min!r}")
-        if self.grid_points < 2:
-            raise ConfigurationError(f"grid_points must be >= 2, got {self.grid_points}")
+        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
+            raise ConfigurationError(f"grid_points must be an integer >= 2, got {self.grid_points!r}")
 
     def resolved_lambda_max(self, n_points: int) -> float:
         if self.lambda_max is not None:
@@ -227,7 +227,8 @@ def select_lambda(
     hi/lo <= 1.05, at most 8 + 9 solves at defaults.  Not Newton or regula
     falsi: near the crossing cond(A^T A + lambda R^T R) ~ 1e14 makes the
     residual jitter by 1-2 % and lose monotonicity.  If even the largest
-    lambda falls short, the smallest grid value is returned with a warning.
+    lambda falls short, the smallest grid value is returned with a warning;
+    a `lambda_min` at or above the resolved ceiling raises ConfigurationError.
     A solve that fails on conditioning ends the scan or the bisection: one
     whose normal equations are not positive definite, or whose solution
     exceeds 1e6 times ||g~||_inf.  The search path is logged at DEBUG.
@@ -250,6 +251,10 @@ def select_lambda(
         return residuals[lam] >= target
 
     lam_max = cfg.resolved_lambda_max(n)
+    if not cfg.lambda_min < lam_max:
+        raise ConfigurationError(
+            f"lambda_min {cfg.lambda_min:g} must lie below the search ceiling {lam_max:g} at K={n}"
+        )
     lo = hi = None
     n_bisect = 0
     for n_grid, lam in enumerate(np.geomspace(cfg.lambda_min, lam_max, cfg.grid_points), 1):

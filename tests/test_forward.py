@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,18 @@ from driftrec.errors import ConfigurationError, NumericalError, SingularSystemEr
 from driftrec.forward import _lu_apply, _lu_factor
 
 
-def _dense_from_bands(system):
-    n = system.order
+def _dense_from_bands(lower, diag, upper):
+    n = diag.size
     a = np.zeros((n, n))
-    a[np.arange(n), np.arange(n)] = system.diag
-    a[np.arange(1, n), np.arange(n - 1)] = system.lower
-    a[np.arange(n - 1), np.arange(1, n)] = system.upper
+    a[np.arange(n), np.arange(n)] = diag
+    a[np.arange(1, n), np.arange(n - 1)] = lower
+    a[np.arange(n - 1), np.arange(1, n)] = upper
     return a
+
+
+def _band_solve(lower, diag, upper, rhs):
+    """The solve `march` runs each step, on a copy of rhs."""
+    return _lu_apply(_lu_factor(lower, diag, upper), np.array(rhs, dtype=float))
 
 
 def _constant(c):
@@ -26,7 +32,7 @@ def _constant(c):
 
 @st.composite
 def _dominant_bands(draw):
-    """Row-diagonally dominant band system of random order and signs."""
+    """Row-diagonally dominant bands and rhs of random order and signs."""
     n = draw(st.integers(3, 30))
     unit = st.floats(-1.0, 1.0)
     lower = draw(hnp.arrays(float, n - 1, elements=unit))
@@ -35,7 +41,7 @@ def _dominant_bands(draw):
     sign = draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
     rhs = draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
     off = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0])
-    return dr.TridiagonalSystem(lower, sign * (off + margin), upper, rhs)
+    return lower, sign * (off + margin), upper, rhs
 
 
 class TestAssembly:
@@ -45,19 +51,19 @@ class TestAssembly:
                               left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
         grids = dr.build_grids(10, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
-        sys_ = dr.assemble_step_matrix(spec, q, grids)
-        assert sys_.lower[0] == pytest.approx(-100.0)
-        assert sys_.diag[1] == pytest.approx(215.0)
-        assert sys_.upper[1] == pytest.approx(-100.0)
+        lower, diag, upper = dr.assemble_step_matrix(spec, q, grids)
+        assert lower[0] == pytest.approx(-100.0)
+        assert diag[1] == pytest.approx(215.0)
+        assert upper[1] == pytest.approx(-100.0)
 
     def test_boundary_rows(self):
         spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(0.0),
                               left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
         grids = dr.build_grids(10, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
-        sys_ = dr.assemble_step_matrix(spec, q, grids)
-        assert (sys_.diag[0], sys_.upper[0]) == (-10.0, 10.0)
-        assert (sys_.lower[-1], sys_.diag[-1]) == (-10.0, 10.0)
+        lower, diag, upper = dr.assemble_step_matrix(spec, q, grids)
+        assert (diag[0], upper[0]) == (-10.0, 10.0)
+        assert (lower[-1], diag[-1]) == (-10.0, 10.0)
 
     def test_interior_sign_pattern_and_dominance(self):
         # |q| h <= 2 keeps the interior rows an M-matrix pattern
@@ -65,11 +71,11 @@ class TestAssembly:
                               left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
         grids = dr.build_grids(20, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, _constant(1.0))
-        sys_ = dr.assemble_step_matrix(spec, q, grids)
-        assert np.all(sys_.lower[:-1] <= 0.0)
-        assert np.all(sys_.upper[1:] <= 0.0)
-        assert np.all(sys_.diag[1:-1] > 0.0)
-        dominance = sys_.diag[1:-1] - (np.abs(sys_.lower[:-1]) + np.abs(sys_.upper[1:]))
+        lower, diag, upper = dr.assemble_step_matrix(spec, q, grids)
+        assert np.all(lower[:-1] <= 0.0)
+        assert np.all(upper[1:] <= 0.0)
+        assert np.all(diag[1:-1] > 0.0)
+        dominance = diag[1:-1] - (np.abs(lower[:-1]) + np.abs(upper[1:]))
         assert np.all(dominance > 0.0)
 
     def test_grid_mismatch(self):
@@ -87,15 +93,14 @@ class TestAssembly:
         q = dr.GridFunction.sample(grids.space, np.sin)
         s1 = dr.assemble_step_matrix(spec, q, grids)
         s2 = dr.assemble_step_matrix(spec, q, grids)
-        for name in ("lower", "diag", "upper"):
-            assert np.array_equal(getattr(s1, name), getattr(s2, name))
+        for b1, b2 in zip(s1, s2, strict=True):
+            assert np.array_equal(b1, b2)
 
 
 class TestThomas:
     def test_identity(self):
         rhs = np.array([3.0, -1.0, 2.0, 0.5])
-        sys_ = dr.TridiagonalSystem(np.zeros(3), np.ones(4), np.zeros(3), rhs)
-        assert np.array_equal(dr.thomas_solve(sys_), rhs)
+        assert np.array_equal(_band_solve(np.zeros(3), np.ones(4), np.zeros(3), rhs), rhs)
 
     def test_against_dense_elimination(self, dense_solve):
         rng = np.random.default_rng(11)
@@ -105,9 +110,8 @@ class TestThomas:
             lower = rng.uniform(-1.0, 1.0, n - 1)
             upper = rng.uniform(-1.0, 1.0, n - 1)
             rhs = rng.standard_normal(n)
-            sys_ = dr.TridiagonalSystem(lower, diag, upper, rhs)
-            x = dr.thomas_solve(sys_)
-            x_ref = dense_solve(_dense_from_bands(sys_), rhs)
+            x = _band_solve(lower, diag, upper, rhs)
+            x_ref = dense_solve(_dense_from_bands(lower, diag, upper), rhs)
             assert np.max(np.abs(x - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
 
     def test_residual_contract(self):
@@ -118,34 +122,26 @@ class TestThomas:
             lower = rng.uniform(-1.0, 1.0, n - 1)
             upper = rng.uniform(-1.0, 1.0, n - 1)
             rhs = rng.standard_normal(n)
-            sys_ = dr.TridiagonalSystem(lower, diag, upper, rhs)
-            x = dr.thomas_solve(sys_)
-            res = _dense_from_bands(sys_) @ x - rhs
+            x = _band_solve(lower, diag, upper, rhs)
+            res = _dense_from_bands(lower, diag, upper) @ x - rhs
             assert np.max(np.abs(res)) <= 1e-10 * max(1e-30, np.max(np.abs(rhs)))
 
     def test_zero_pivot(self):
-        sys_ = dr.TridiagonalSystem(np.zeros(2), np.array([0.0, 1.0, 1.0]), np.zeros(2),
-                                    np.ones(3))
         with pytest.raises(SingularSystemError, match="pivot"):
-            dr.thomas_solve(sys_)
+            _lu_factor(np.zeros(2), np.array([0.0, 1.0, 1.0]), np.zeros(2))
 
     def test_zero_pivot_after_row_0(self):
-        sys_ = dr.TridiagonalSystem(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2),
-                                    np.ones(3))
         with pytest.raises(SingularSystemError, match="pivot in row 1"):
-            dr.thomas_solve(sys_)
-
-    def test_order_two_rejected(self):
-        with pytest.raises(ConfigurationError, match="order n >= 3"):
-            dr.TridiagonalSystem(np.zeros(1), np.ones(2), np.zeros(1), np.ones(2))
+            _lu_factor(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))
 
     @settings(max_examples=200, deadline=None)
     @given(system=_dominant_bands())
     def test_matches_references_on_dominant_bands(self, dense_solve, thomas_reference, system):
         factor, apply = thomas_reference
-        x = dr.thomas_solve(system)
-        for x_ref in (apply(factor(system.lower, system.diag, system.upper), system.rhs),
-                      dense_solve(_dense_from_bands(system), system.rhs)):
+        lower, diag, upper, rhs = system
+        x = _band_solve(lower, diag, upper, rhs)
+        for x_ref in (apply(factor(lower, diag, upper), rhs),
+                      dense_solve(_dense_from_bands(lower, diag, upper), rhs)):
             assert np.max(np.abs(x - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
 
 
@@ -192,6 +188,14 @@ class TestForwardSolve:
         err = np.max(np.abs(field.values[-1] - exact(grids.space.nodes, 1.0)))
         assert err <= 0.02
 
+    def test_scalar_source_matches_vectorized_constant(self, ex1_spec):
+        grids = dr.build_grids(20, 10, 1.0)
+        q = dr.GridFunction.sample(grids.space, np.sin)
+        scalar = list(dr.march(replace(ex1_spec, source=lambda x: 10.0), q, grids))
+        vector = list(dr.march(replace(ex1_spec, source=_constant(10.0)), q, grids))
+        for a, b in zip(scalar, vector, strict=True):
+            assert np.array_equal(a, b)
+
     def test_cached_factorization_matches_per_step_assembly(self, ex1_spec):
         grids = dr.build_grids(20, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
@@ -203,12 +207,12 @@ class TestForwardSolve:
         u = dr.sample_on(ex1_spec.initial, x)
         f_int = dr.sample_on(ex1_spec.source, x[1:-1])
         for n in range(1, grids.time.n_steps + 1):
-            sys_ = dr.assemble_step_matrix(ex1_spec, q, grids)
+            bands = dr.assemble_step_matrix(ex1_spec, q, grids)
             rhs = np.empty(x.size)
             rhs[0] = ex1_spec.left_flux
             rhs[1:-1] = u[1:-1] / tau + f_int
             rhs[-1] = ex1_spec.right_flux(grids.time.times[n])
-            u = _lu_apply(_lu_factor(sys_.lower, sys_.diag, sys_.upper), rhs)
+            u = _lu_apply(_lu_factor(*bands), rhs)
             assert np.array_equal(u, levels[n])
 
     @settings(max_examples=60, deadline=None)
@@ -223,8 +227,7 @@ class TestForwardSolve:
         levels = list(dr.march(ex1_spec, q, grids))
 
         factor, apply = thomas_reference
-        sys_ = dr.assemble_step_matrix(ex1_spec, q, grids)
-        fac = factor(sys_.lower, sys_.diag, sys_.upper)
+        fac = factor(*dr.assemble_step_matrix(ex1_spec, q, grids))
         u = dr.sample_on(ex1_spec.initial, x)
         assert np.array_equal(u, levels[0])
         f_int = dr.sample_on(ex1_spec.source, x[1:-1])
@@ -331,10 +334,10 @@ class TestForwardSolve:
                                 a0 + a1 * np.sin(2.0 * np.pi * grids.space.nodes + phase))
             assert grids.space.h * np.max(np.abs(q.values)) <= 2.0
 
-            sys_ = dr.assemble_step_matrix(spec, q, grids)
-            assert np.all(sys_.lower[:-1] <= 0.0)
-            assert np.all(sys_.upper[1:] <= 0.0)
-            assert np.all(sys_.diag[1:-1] > 0.0)
+            lower, diag, upper = dr.assemble_step_matrix(spec, q, grids)
+            assert np.all(lower[:-1] <= 0.0)
+            assert np.all(upper[1:] <= 0.0)
+            assert np.all(diag[1:-1] > 0.0)
 
             u0 = dr.sample_on(spec.initial, grids.space.nodes)
             rhs = np.empty(m + 1)
@@ -342,7 +345,7 @@ class TestForwardSolve:
             rhs[1:-1] = u0[1:-1] / grids.time.tau + dr.sample_on(spec.source, grids.space.nodes[1:-1])
             rhs[-1] = spec.right_flux(grids.time.tau)
             assert np.all(rhs >= 0.0) and np.all(u0 >= 0.0)
-            step = dr.thomas_solve(dr.TridiagonalSystem(sys_.lower, sys_.diag, sys_.upper, rhs))
+            step = _band_solve(lower, diag, upper, rhs)
             assert np.all(step >= 0.0)
 
 

@@ -20,12 +20,12 @@ class TestInitialDrift:
         # and the boundary extrapolation is exact on a linear profile
         grid = dr.SpatialGrid(10)
         g = dr.GridFunction(grid, grid.nodes)
-        q0 = dr.initial_drift(g, _linear_data_spec())
+        q0 = dr.data_terms(g, _linear_data_spec())[0]
         expected = 10.0 - 5.0 * grid.nodes
         assert np.max(np.abs(q0.values - expected)) <= 1e-12
 
     def test_upper_bound_on_reference_data(self, ex1_setup):
-        q0 = dr.initial_drift(ex1_setup["data"], ex1_setup["spec"])
+        q0 = dr.data_terms(ex1_setup["data"], ex1_setup["spec"])[0]
         assert np.all(q0.values >= ex1_setup["q_true"].values - 0.05)
 
     def test_floor_activation(self):
@@ -39,7 +39,7 @@ class TestInitialDrift:
         floor = cfg.denom_floor * np.max((g.values[2:] - g.values[:-2]) / (2.0 * grid.h))
         assert hits >= 1
         assert slope[4] == floor  # slope index 4 is node 5
-        q0 = dr.initial_drift(g, _linear_data_spec(), cfg)
+        q0 = dr.data_terms(g, _linear_data_spec(), cfg)[0]
         assert np.isfinite(q0.values).all()
 
     def test_hopeless_data_raises(self):
@@ -47,7 +47,7 @@ class TestInitialDrift:
         grid = dr.SpatialGrid(20)
         g = dr.GridFunction(grid, rng.standard_normal(21))
         with pytest.raises(DataQualityError, match="mollif"):
-            dr.initial_drift(g, _linear_data_spec())
+            dr.data_terms(g, _linear_data_spec())
 
 
 class TestDriftUpdate:
@@ -88,13 +88,6 @@ class TestDriftUpdate:
                                    q0, slope, setup["spec"], setup["grids"])
             assert np.max(k_lo.values - k_hi.values) <= 1e-6
 
-    def test_clamp_to_initial(self, ex1_setup):
-        setup = ex1_setup
-        cfg = dr.IterationConfig(clamp_to_initial=True)
-        q0, slope, _ = dr.data_terms(setup["data"], setup["spec"], cfg)
-        out = dr.drift_update(setup["q_true"], q0, slope, setup["spec"], setup["grids"], cfg)
-        assert np.all(out.values <= q0.values)
-
     def test_deterministic(self, ex1_setup):
         setup = ex1_setup
         q0, slope, _ = dr.data_terms(setup["data"], setup["spec"])
@@ -108,7 +101,7 @@ class TestRunIteration:
         setup = ex1_setup
         cfg = dr.IterationConfig(max_iter=10, tol_step=1e6)
         q_final, trace = dr.run_iteration(setup["data"], setup["spec"], setup["grids"], cfg)
-        q0 = dr.initial_drift(setup["data"], setup["spec"], cfg)
+        q0 = dr.data_terms(setup["data"], setup["spec"], cfg)[0]
         assert np.array_equal(q_final.values, q0.values)
         assert 1 <= len(trace.iterates) <= 2
         assert len(trace.step_norms) == 1
@@ -153,6 +146,8 @@ class TestRunIteration:
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="max_iter"):
             dr.IterationConfig(max_iter=0)
+        with pytest.raises(ConfigurationError, match="max_iter must be an integer"):
+            dr.IterationConfig(max_iter=2.5)
         with pytest.raises(ConfigurationError, match="tol_step"):
             dr.IterationConfig(tol_step=0.0)
         with pytest.raises(ConfigurationError, match="denom_floor"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,19 +64,13 @@ class TestStencils:
         out = dr.apply_stencil("centered_second", u)
         assert np.max(np.abs(out.values[1:-1] - 6.0)) <= 1e-12 * 6.0
 
-    def test_time_flux_on_constant(self):
-        grid = dr.SpatialGrid(4)
-        u = dr.GridFunction(grid, np.ones(5))
-        out = dr.apply_stencil("time_flux", u, tau=0.5)
-        assert np.array_equal(out.values, [0.0, 2.0, 2.0, 2.0, 0.0])
-
     def test_differences_annihilate_constants(self):
         grid = dr.SpatialGrid(9)
         u = dr.GridFunction(grid, np.full(10, 3.7))
         for kind in ("centered_first", "centered_second"):
             assert np.all(dr.apply_stencil(kind, u).values == 0.0)
 
-    @pytest.mark.parametrize("kind", ["time_flux", "interior", "centered_first", "centered_second"])
+    @pytest.mark.parametrize("kind", ["centered_first", "centered_second"])
     def test_linearity(self, kind):
         rng = np.random.default_rng(3)
         grid = dr.SpatialGrid(17)
@@ -82,22 +78,44 @@ class TestStencils:
             u = rng.standard_normal(18)
             w = rng.standard_normal(18)
             a, b = rng.standard_normal(2)
-            lhs = dr.apply_stencil(kind, dr.GridFunction(grid, a * u + b * w), tau=0.3).values
-            rhs = (a * dr.apply_stencil(kind, dr.GridFunction(grid, u), tau=0.3).values
-                   + b * dr.apply_stencil(kind, dr.GridFunction(grid, w), tau=0.3).values)
+            lhs = dr.apply_stencil(kind, dr.GridFunction(grid, a * u + b * w)).values
+            rhs = (a * dr.apply_stencil(kind, dr.GridFunction(grid, u)).values
+                   + b * dr.apply_stencil(kind, dr.GridFunction(grid, w)).values)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-    def test_time_flux_needs_tau(self):
-        grid = dr.SpatialGrid(4)
-        u = dr.GridFunction(grid, np.ones(5))
-        with pytest.raises(ConfigurationError, match="tau"):
-            dr.apply_stencil("time_flux", u)
 
     def test_unknown_kind(self):
         grid = dr.SpatialGrid(4)
         u = dr.GridFunction(grid, np.ones(5))
         with pytest.raises(ConfigurationError, match="unknown stencil"):
             dr.apply_stencil("gradient", u)
+
+
+class TestSampleOn:
+    def test_scalar_only_callable_is_evaluated_per_point(self):
+        xs = np.linspace(0.0, 1.0, 7)
+        out = dr.sample_on(math.sin, xs)  # raises TypeError on arrays
+        assert np.array_equal(out, [math.sin(v) for v in xs])
+
+    def test_scalar_result_is_broadcast(self):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return 10.0
+
+        xs = np.linspace(0.0, 1.0, 7)
+        out = dr.sample_on(fn, xs)
+        assert out.dtype == float and np.array_equal(out, np.full(7, 10.0))
+        assert len(calls) == 1  # one call on the whole array, not one per point
+
+    def test_wrong_shape_falls_back_to_points(self):
+        # written for scalars: an array gets back a row vector, not one value per point
+        def fn(x):
+            return 2.0 * x if np.ndim(x) == 0 else np.atleast_2d(2.0 * x)
+
+        xs = np.linspace(0.0, 1.0, 7)
+        out = dr.sample_on(fn, xs)
+        assert out.shape == (7,) and np.array_equal(out, 2.0 * xs)
 
 
 class TestGridFunction:

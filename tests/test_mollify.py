@@ -375,6 +375,17 @@ class TestSelectLambda:
             lam = dr.select_lambda(design, penalty, g, 10.0, cfg)
         assert lam == 1e-12
 
+    @pytest.mark.parametrize("factor", [1.0, 10.0])
+    def test_lambda_min_at_or_above_ceiling_rejected(self, ex3e_noisy_setup, factor):
+        # the default ceiling at K = 10001 is 1e30; scanning down from 1e31 returned
+        # lambda = 1e31 with residual 60.6 against a target of 3.87, silently
+        s = ex3e_noisy_setup
+        ceiling = dr.TikhonovConfig().resolved_lambda_max(s["g_tilde"].size)
+        cfg = dr.TikhonovConfig(lambda_min=factor * ceiling)
+        with pytest.raises(ConfigurationError, match="lambda_min") as exc:
+            dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"], cfg)
+        assert f"{cfg.lambda_min:g}" in str(exc.value) and f"{ceiling:g}" in str(exc.value)
+
 
 class TestRestrict:
     def test_linear_data_exact(self):
@@ -412,6 +423,8 @@ class TestTikhonovConfig:
             dr.TikhonovConfig(lambda_min=1.0, lambda_max=0.5)
         with pytest.raises(ConfigurationError, match="lambda"):
             dr.TikhonovConfig(lambda_max=float("inf"))
+        with pytest.raises(ConfigurationError, match="grid_points must be an integer"):
+            dr.TikhonovConfig(grid_points=2.5)
 
     def test_ceiling_scales_with_data_size(self):
         cfg = dr.TikhonovConfig()
