@@ -20,6 +20,7 @@ from .errors import ConfigurationError, NumericalError
 from .experiments import (
     FORMATS,
     PRESET_NAMES,
+    csv_lines,
     make_preset,
     mollify_data,
     run_experiment,
@@ -85,9 +86,7 @@ def cmd_forward(args) -> int:
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "solution.csv"
-        lines = ["x,u_final"]
-        for xi, gi in zip(grids.space.nodes, g):
-            lines.append(f"{float(xi)!r},{float(gi)!r}")
+        lines = ["x,u_final"] + csv_lines([grids.space.nodes, g])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {path}")
     return EXIT_OK

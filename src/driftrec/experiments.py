@@ -113,12 +113,12 @@ class ExperimentPreset:
     tikhonov: TikhonovConfig = field(default_factory=TikhonovConfig)
 
     def __post_init__(self):
-        if self.data_grid_refinement < 1:
-            raise ConfigurationError(
-                f"data_grid_refinement must be >= 1, got {self.data_grid_refinement}"
-            )
-        if self.data_points < 3:
-            raise ConfigurationError(f"data_points must be >= 3, got {self.data_points}")
+        r = self.data_grid_refinement
+        if not isinstance(r, (int, np.integer)) or r < 1:
+            raise ConfigurationError(f"data_grid_refinement must be an integer >= 1, got {r!r}")
+        k = self.data_points
+        if not isinstance(k, (int, np.integer)) or k < 3:
+            raise ConfigurationError(f"data_points must be an integer >= 3, got {k!r}")
         if self.data_points < self.solver_grid[0] + 1:
             # fewer samples than solver nodes: restriction would hand the update a coarse polyline
             raise ConfigurationError(
@@ -355,8 +355,14 @@ def run_experiment(
 # Output emission
 # ---------------------------------------------------------------------------
 
-def _csv_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def csv_lines(columns) -> list[str]:
+    """One comma-separated line per row of the equal-length columns.
+
+    Each column becomes Python floats once (`tolist`), so every value is
+    written as `repr(float(v))`, the shortest text that round-trips.
+    """
+    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
+    return [",".join(map(repr, row)) for row in zip(*cols)]
 
 
 def emit_outputs(
@@ -383,10 +389,8 @@ def emit_outputs(
         path = out / "drift.csv"
         iterates = bundle.trace.iterates if bundle.trace is not None else []
         header = ["x", "q_true"] + [f"q_{k}" for k in range(len(iterates))]
-        lines = [",".join(header)]
         cols = [x, bundle.q_true_grid.values] + [it.values for it in iterates]
-        for i in range(grid.m + 1):
-            lines.append(_csv_row(col[i] for col in cols))
+        lines = [",".join(header)] + csv_lines(cols)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 
@@ -394,9 +398,7 @@ def emit_outputs(
         g_exact = restrict(bundle.g_exact, grid).values
         g_noisy = restrict(bundle.g_noisy, grid).values
         g_moll = restrict(bundle.g_mollified, grid).values
-        lines = ["x,g_exact,g_noisy,g_mollified"]
-        for i in range(grid.m + 1):
-            lines.append(_csv_row((x[i], g_exact[i], g_noisy[i], g_moll[i])))
+        lines = ["x,g_exact,g_noisy,g_mollified"] + csv_lines([x, g_exact, g_noisy, g_moll])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
 

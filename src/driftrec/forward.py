@@ -17,9 +17,17 @@ acceptance criterion 1 from 1.3e-15 to 1.5e-12, over its 1e-12 bound.  The
 remaining rows may still pivot.
 
 `march` is the one time loop: it yields every level u^0, ..., u^N and
-holds only the current one.  The inversion reads the solution only at the
-final time (g = u^N, u_t ~ (u^N - u^{N-1})/tau), so `solve_forward` keeps
-just the last two levels: memory is O(m), not O(nm).
+holds only the current one.  Whatever does not change from step to step is
+computed once per solve: the factors, the source row as one full-length
+vector, row 0's share of row 1 (b[0] is always b1, so the elimination
+subtracts mult*b1), and the time levels as Python floats.  A step is then
+`b = u/tau; b += f`, three scalar stores (b[0], b[1], b[m]), one `dgttrs`
+and one finiteness check, `u @ zeros`, which is NaN exactly when u holds
+an inf or a NaN.
+
+The inversion reads the solution only at the final time (g = u^N,
+u_t ~ (u^N - u^{N-1})/tau), so `solve_forward` keeps just the last two
+levels: memory is O(m), not O(nm).
 """
 
 from __future__ import annotations
@@ -92,14 +100,6 @@ def _lu_factor(lower, diag, upper):
     return mult, (dl, d, du, du2, ipiv)
 
 
-def _lu_apply(factor, b: np.ndarray) -> np.ndarray:
-    """Solve with the factors of `_lu_factor`, overwriting the float64 vector b."""
-    mult, lu = factor
-    b[1] -= mult * b[0]
-    x, _ = dgttrs(*lu, b, overwrite_b=1)
-    return x
-
-
 @dataclass(frozen=True, eq=False)
 class FinalLevels:
     """The last two time levels of a forward solve over a grid pair.
@@ -136,7 +136,10 @@ def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[n
     x = space.nodes
     tau = time.tau
 
-    factor = _lu_factor(*assemble_step_matrix(spec, drift, grids))
+    mult, lu = _lu_factor(*assemble_step_matrix(spec, drift, grids))
+    left_flux = float(spec.left_flux)
+    # b[0] is always b1, so row 0's elimination takes the same share of row 1 every step
+    row1_share = mult * left_flux
 
     u = np.array(sample_on(spec.initial, x))  # a copy: the callable may return an array it keeps
     if not np.all(np.isfinite(u)):
@@ -145,20 +148,22 @@ def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[n
     yield u
 
     x_int = x[1:-1]
-    f_int = None if spec.source_xt is not None else sample_on(spec.source, x_int)
+    source_xt, right_flux = spec.source_xt, spec.right_flux
+    f = np.zeros(space.m + 1)  # the source row; b's boundary entries are overwritten
+    if source_xt is None:
+        f[1:-1] = sample_on(spec.source, x_int)
+    zeros = np.zeros(space.m + 1)
 
-    times = time.times
-    for n in range(1, time.n_steps + 1):
-        t_n = times[n]
-        b = np.empty(space.m + 1)
-        b[0] = spec.left_flux
-        if f_int is None:
-            b[1:-1] = u[1:-1] / tau + np.asarray(spec.source_xt(x_int, t_n), dtype=float)
-        else:
-            b[1:-1] = u[1:-1] / tau + f_int
-        b[-1] = float(spec.right_flux(t_n))
-        u = _lu_apply(factor, b)
-        if not np.all(np.isfinite(u)):
+    for n, t_n in enumerate(time.times.tolist()[1:], start=1):
+        b = u / tau
+        if source_xt is not None:
+            f[1:-1] = source_xt(x_int, t_n)
+        b += f
+        b[0] = left_flux
+        b[1] -= row1_share
+        b[-1] = float(right_flux(t_n))
+        u = dgttrs(*lu, b, overwrite_b=1)[0]
+        if u @ zeros != 0.0:  # NaN exactly when u holds an inf or a NaN
             raise NumericalError(f"forward solution became non-finite at step {n}")
         u.setflags(write=False)
         yield u

@@ -25,7 +25,11 @@ STENCIL_KINDS = ("centered_first", "centered_second")
 
 def sample_on(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function on an array of points, tolerating
-    callables that only accept scalars or that return scalars."""
+    callables that only accept scalars or that return scalars.
+
+    A callable that gives anything but one value per point, even point by
+    point, raises ConfigurationError naming it.
+    """
     xs = np.asarray(xs, dtype=float)
     try:
         out = np.asarray(fn(xs), dtype=float)
@@ -35,6 +39,11 @@ def sample_on(fn: Callable, xs: np.ndarray) -> np.ndarray:
         out = np.full(xs.shape, float(out))
     if out.shape != xs.shape:
         out = np.asarray([fn(float(x)) for x in xs], dtype=float)
+    if out.shape != xs.shape:
+        name = getattr(fn, "__qualname__", None) or repr(fn)
+        raise ConfigurationError(
+            f"{name} must give one value per point: {xs.shape} points gave shape {out.shape}"
+        )
     return out
 
 

@@ -54,8 +54,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.level >= 0.0 and np.isfinite(self.level)):
             raise ConfigurationError(f"noise level must be finite and >= 0, got {self.level!r}")
-        if self.seed < 0:
-            raise ConfigurationError(f"noise seed must be >= 0, got {self.seed!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,9 @@ class TikhonovConfig:
             raise ConfigurationError(
                 f"need 0 < lambda_min < lambda_max < inf, got {self.lambda_min!r}, {self.lambda_max!r}"
             )
+        if not (self.safety > 0.0 and np.isfinite(self.safety)):
+            # a target <= 0 is met by lambda_min and a NaN target by no lambda at all
+            raise ConfigurationError(f"safety must be finite and > 0, got {self.safety!r}")
         if not (self.lambda_min > 0.0):
             raise ConfigurationError(f"lambda_min must be > 0, got {self.lambda_min!r}")
         if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:

@@ -41,10 +41,11 @@ def line_plot_svg(series: list[tuple[str, np.ndarray, np.ndarray]], title: str) 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    # scalars or whole arrays: the same IEEE operations in the same order either way
+    def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -75,10 +76,9 @@ def line_plot_svg(series: list[tuple[str, np.ndarray, np.ndarray]], title: str) 
 
     for idx, (label, sx, sy) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(
-            f"{_fmt(px(float(x)))},{_fmt(py(float(y)))}"
-            for x, y in zip(np.asarray(sx, dtype=float), np.asarray(sy, dtype=float))
-        )
+        pxs = px(np.asarray(sx, dtype=float)).tolist()
+        pys = py(np.asarray(sy, dtype=float)).tolist()
+        pts = " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(pxs, pys))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = _MARGIN_T + 14 + 16 * idx
         parts.append(

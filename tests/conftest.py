@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import settings
 
 import driftrec as dr
+from driftrec import svgplot
 from driftrec.errors import IllPosedError
 
 # CI runs with HYPOTHESIS_PROFILE=ci so that a failing example reproduces
@@ -135,6 +136,46 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
 @pytest.fixture(scope="session")
 def tikhonov_reference():
     return tikhonov_solve, tikhonov_search
+
+
+def csv_row_reference(values):
+    """One CSV row, formatted one value at a time.  Reference for
+    `driftrec.experiments.csv_lines`."""
+    return ",".join(repr(float(v)) for v in values)
+
+
+def svg_points_reference(series):
+    """The polyline `points` text of each (label, x, y) series, mapped and
+    formatted one point at a time with the ranges and padding of
+    `driftrec.svgplot.line_plot_svg`.  Reference for its array mapping."""
+    xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
+    ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
+    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 0.5
+    y_lo -= pad
+    y_hi += pad
+    plot_w = svgplot._WIDTH - svgplot._MARGIN_L - svgplot._MARGIN_R
+    plot_h = svgplot._HEIGHT - svgplot._MARGIN_T - svgplot._MARGIN_B
+
+    def px(x):
+        return svgplot._MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(y):
+        return svgplot._MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+
+    return [
+        " ".join(f"{px(float(x)):.3f},{py(float(y)):.3f}"
+                 for x, y in zip(np.asarray(sx, dtype=float), np.asarray(sy, dtype=float)))
+        for _, sx, sy in series
+    ]
+
+
+@pytest.fixture(scope="session")
+def output_reference():
+    return csv_row_reference, svg_points_reference
 
 
 def reference_spec(horizon=1.0):

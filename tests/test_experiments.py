@@ -1,13 +1,18 @@
 import json
+import re
 import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError
 from driftrec.experiments import (
+    csv_lines,
     drift_hat,
     drift_parabolic_join,
     drift_plateau_ramp,
@@ -15,6 +20,14 @@ from driftrec.experiments import (
     drift_sine,
     drift_staircase,
 )
+from driftrec.svgplot import line_plot_svg
+
+# signed zeros, subnormals and values near the top of the range, mixed into ordinary draws
+_EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1.1e-308, -2.5e-310, 1e300, -1e300)
+
+
+def _values(**float_kwargs):
+    return st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(**float_kwargs))
 
 
 class TestPresets:
@@ -108,6 +121,12 @@ class TestGenerateData:
     def test_refinement_below_one_rejected(self):
         with pytest.raises(ConfigurationError, match="refinement"):
             dr.make_preset("ex1a", refinement=0)
+
+    @pytest.mark.parametrize("override", [dict(refinement=2.5), dict(refinement=4.0),
+                                          dict(data_points=1001.0)])
+    def test_non_integer_sizes_rejected(self, override):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            dr.make_preset("ex3e", **override)
 
 
 class TestMollifyData:
@@ -207,6 +226,32 @@ class TestEmitOutputs:
         assert doc["metrics"] is None
         lines = (tmp_path / "drift.csv").read_text().strip().splitlines()
         assert lines[0] == "x,q_true"
+
+
+class TestFormattersMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 12), n_cols=st.integers(1, 6))
+    def test_csv_lines(self, output_reference, data, n_rows, n_cols):
+        row_reference, _ = output_reference
+        cols = [data.draw(hnp.arrays(float, n_rows, elements=_values())) for _ in range(n_cols)]
+        expected = [row_reference(col[i] for col in cols) for i in range(n_rows)]
+        assert csv_lines(cols) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    def test_svg_points(self, output_reference, data, lengths):
+        _, points_reference = output_reference
+        finite = _values(min_value=-1e300, max_value=1e300)
+        series = [(f"s{i}", data.draw(hnp.arrays(float, n, elements=finite)),
+                   data.draw(hnp.arrays(float, n, elements=finite)))
+                  for i, n in enumerate(lengths)]
+        try:
+            expected = points_reference(series)
+        except ZeroDivisionError:  # a range that 1.0 or the padding cannot widen
+            with pytest.raises(ZeroDivisionError):
+                line_plot_svg(series, "t")
+            return
+        assert re.findall(r'points="([^"]*)"', line_plot_svg(series, "t")) == expected
 
 
 class TestDeterminism:

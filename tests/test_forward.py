@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dgttrs
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError, NumericalError, SingularSystemError
-from driftrec.forward import _lu_apply, _lu_factor
+from driftrec.forward import _lu_factor
 
 
 def _dense_from_bands(lower, diag, upper):
@@ -22,8 +23,12 @@ def _dense_from_bands(lower, diag, upper):
 
 
 def _band_solve(lower, diag, upper, rhs):
-    """The solve `march` runs each step, on a copy of rhs."""
-    return _lu_apply(_lu_factor(lower, diag, upper), np.array(rhs, dtype=float))
+    """Apply `_lu_factor`'s factors as `march` does each step, on a copy of rhs:
+    eliminate row 0 from row 1, then one `dgttrs`."""
+    mult, lu = _lu_factor(lower, diag, upper)
+    b = np.array(rhs, dtype=float)
+    b[1] -= mult * b[0]
+    return dgttrs(*lu, b, overwrite_b=1)[0]
 
 
 def _constant(c):
@@ -212,7 +217,7 @@ class TestForwardSolve:
             rhs[0] = ex1_spec.left_flux
             rhs[1:-1] = u[1:-1] / tau + f_int
             rhs[-1] = ex1_spec.right_flux(grids.time.times[n])
-            u = _lu_apply(_lu_factor(*bands), rhs)
+            u = _band_solve(*bands, rhs)
             assert np.array_equal(u, levels[n])
 
     @settings(max_examples=60, deadline=None)
@@ -276,9 +281,14 @@ class TestForwardSolve:
         assert field.values.shape == (2, m + 1)
         assert peak < 1e6
 
-    def test_non_finite_step_raises(self):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("node", [0, 4, 8])  # first, middle and last of 9 interior nodes
+    def test_non_finite_step_raises(self, bad, node):
         def src(x, t):
-            return np.full_like(np.asarray(x, dtype=float), 0.0 if t < 0.15 else np.inf)
+            f = np.zeros_like(np.asarray(x, dtype=float))
+            if t >= 0.15:
+                f[node] = bad
+            return f
 
         spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(1.0),
                               left_flux=0.0, right_flux=_constant(0.0), horizon=1.0,

@@ -117,6 +117,19 @@ class TestSampleOn:
         out = dr.sample_on(fn, xs)
         assert out.shape == (7,) and np.array_equal(out, 2.0 * xs)
 
+    def test_per_point_sequence_rejected(self):
+        def pair(x):
+            return [x, x]
+
+        with pytest.raises(ConfigurationError, match=r"pair must give one value per point.*\(5, 2\)"):
+            dr.sample_on(pair, np.linspace(0.0, 1.0, 5))
+        spec = dr.ProblemSpec(source=lambda x: 10.0, potential=5.0, initial=pair, left_flux=1.0,
+                              right_flux=lambda t: 1.0 + t, horizon=1.0)
+        grids = dr.build_grids(20, 20, 1.0)
+        q = dr.GridFunction.sample(grids.space, np.sin)
+        with pytest.raises(ConfigurationError, match="pair"):
+            dr.solve_forward(spec, q, grids)
+
 
 class TestGridFunction:
     def test_length_mismatch(self):

@@ -86,6 +86,11 @@ class TestNoise:
         with pytest.raises(ConfigurationError, match="level"):
             dr.NoiseSpec(level=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, 7.0])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer >= 0"):
+            dr.NoiseSpec(level=0.01, seed=seed)
+
 
 class TestDesignMatrix:
     def test_three_point_rows(self):
@@ -425,6 +430,9 @@ class TestTikhonovConfig:
             dr.TikhonovConfig(lambda_max=float("inf"))
         with pytest.raises(ConfigurationError, match="grid_points must be an integer"):
             dr.TikhonovConfig(grid_points=2.5)
+        for safety in (float("nan"), float("inf"), 0.0, -1.01):
+            with pytest.raises(ConfigurationError, match="safety must be finite and > 0"):
+                dr.TikhonovConfig(safety=safety)
 
     def test_ceiling_scales_with_data_size(self):
         cfg = dr.TikhonovConfig()
