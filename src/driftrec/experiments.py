@@ -128,6 +128,12 @@ class ExperimentPreset:
         if self.mollify and (self.noise is None or self.noise.level <= 0.0):
             # nothing to denoise: a run would skip the step yet record mollify=true
             raise ConfigurationError("mollify needs a noise level > 0")
+        lam, ceiling = self.tikhonov.lam, self.tikhonov.resolved_lambda_max(k)
+        if lam is not None and lam > ceiling:
+            # above it the normal equations are no longer numerically definite
+            raise ConfigurationError(
+                f"fixed lambda {lam:g} exceeds the ceiling {ceiling:g} at data_points={k}"
+            )
 
 
 _PRESET_TABLE = {
@@ -256,7 +262,7 @@ def mollify_data(
     if lam is None:
         if sigma_abs is None:
             raise ConfigurationError("discrepancy search needs a noise level")
-        lam = select_lambda(design, penalty, g_tilde, sigma_abs, preset.tikhonov)
+        lam = select_lambda(design, penalty, g_tilde, sigma_abs)
     g_star = solve_tikhonov(design, penalty, g_tilde, lam)
     record = {
         "lambda": float(lam),

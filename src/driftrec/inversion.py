@@ -25,27 +25,23 @@ from .errors import ConfigurationError, DataQualityError, DivergenceError, Numer
 from .forward import final_time_derivative, solve_forward
 from .model import GridFunction, GridPair, ProblemSpec, apply_stencil, sample_on
 
+# The data slope g' is floored at this fraction of its largest interior value before
+# any division, so noisy data cannot produce near-zero or negative denominators.
+_DENOM_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Knobs of the fixed-point loop.
-
-    `denom_floor` is relative: the data slope g' is floored at
-    denom_floor * max(interior g') before any division, so noisy data
-    cannot produce near-zero or negative denominators.
-    """
+    """Knobs of the fixed-point loop."""
 
     max_iter: int = 20
     tol_step: float = 1e-4
-    denom_floor: float = 1e-3
 
     def __post_init__(self):
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not (self.tol_step > 0.0):
             raise ConfigurationError(f"tol_step must be > 0, got {self.tol_step}")
-        if not (self.denom_floor > 0.0):
-            raise ConfigurationError(f"denom_floor must be > 0, got {self.denom_floor}")
 
 
 @dataclass
@@ -80,9 +76,7 @@ def _fill_boundaries(interior: np.ndarray) -> np.ndarray:
     return full
 
 
-def data_terms(
-    data: GridFunction, spec: ProblemSpec, cfg: IterationConfig | None = None
-) -> tuple[GridFunction, np.ndarray, int]:
+def data_terms(data: GridFunction, spec: ProblemSpec) -> tuple[GridFunction, np.ndarray, int]:
     """The constants of the fixed-point map, computed from the data alone.
 
     Returns the upper-bound guess q0 = [f + g'' - C_p g] / g' on the data
@@ -91,7 +85,6 @@ def data_terms(
     more than 20% of the interior slopes sit at the floor; data that rough
     needs mollification first.
     """
-    cfg = cfg or IterationConfig()
     grid = data.grid
     slope = apply_stencil("centered_first", data).values[1:-1]
     scale = float(np.max(slope))
@@ -100,7 +93,7 @@ def data_terms(
         scale = float(np.max(np.abs(slope)))
         if scale == 0.0:
             scale = 1.0
-    floor = cfg.denom_floor * scale
+    floor = _DENOM_FLOOR * scale
     hits = int(np.count_nonzero(slope < floor))
     slope = np.maximum(slope, floor)
     n_int = grid.m - 1
@@ -126,9 +119,9 @@ def drift_update(
     """One application of the fixed-point map (one forward solve).
 
     `q0` and `slope` are the initial guess and floored interior data
-    slopes from `data_terms`, the only part of the map a config shapes.
-    Nodewise the result is q0 - u_t(., T; drift) / slope at interior
-    nodes, with boundary values linearly extrapolated.
+    slopes from `data_terms`.  Nodewise the result is
+    q0 - u_t(., T; drift) / slope at interior nodes, with boundary values
+    linearly extrapolated.
     """
     field = solve_forward(spec, drift, grids)
     u_t = final_time_derivative(field)
@@ -155,7 +148,7 @@ def run_iteration(
     partial trace.
     """
     cfg = cfg or IterationConfig()
-    q0, slope, hits = data_terms(data, spec, cfg)
+    q0, slope, hits = data_terms(data, spec)
     q_cur = q0
     trace = IterationTrace(iterates=[q_cur], floor_hits=hits)
 

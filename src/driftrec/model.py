@@ -22,6 +22,9 @@ from .errors import ConfigurationError
 
 STENCIL_KINDS = ("centered_first", "centered_second")
 
+# Uniform grid on which `validate_assumptions` samples its sup norms.
+_AUDIT_POINTS = 1001
+
 
 def sample_on(fn: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate a scalar function on an array of points, tolerating
@@ -152,6 +155,11 @@ class GridFunction:
         return cls(grid, sample_on(fn, grid.nodes))
 
 
+def _centered_first(v: np.ndarray, h: float) -> np.ndarray:
+    """(v_{i+1} - v_{i-1}) / (2h) at every interior point of spacing-h samples."""
+    return (v[2:] - v[:-2]) / (2.0 * h)
+
+
 def apply_stencil(kind: str, u: GridFunction) -> GridFunction:
     """Apply one of the two centered differences of the discrete scheme.
 
@@ -165,7 +173,7 @@ def apply_stencil(kind: str, u: GridFunction) -> GridFunction:
     h = u.grid.h
     out = np.zeros_like(v)
     if kind == "centered_first":
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+        out[1:-1] = _centered_first(v, h)
     elif kind == "centered_second":
         out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
     else:
@@ -205,21 +213,10 @@ class AssumptionReport:
         }
 
 
-def _derivative_sups(values: np.ndarray, h: float, orders: int) -> list[float]:
-    """Sup norms of successive centered divided differences, order 0..orders."""
-    sups = [float(np.max(np.abs(values)))]
-    cur = values
-    for _ in range(orders):
-        cur = (cur[2:] - cur[:-2]) / (2.0 * h)
-        sups.append(float(np.max(np.abs(cur))) if cur.size else float("nan"))
-    return sups
-
-
 def validate_assumptions(
     spec: ProblemSpec,
     drift: GridFunction,
     data: GridFunction | None = None,
-    audit_points: int = 1001,
 ) -> AssumptionReport:
     """Measure the admissibility clauses with discrete norms.
 
@@ -228,28 +225,30 @@ def validate_assumptions(
     When final-time `data` is supplied, the minimum interior slope of the
     data (the positive lower bound the theory requires) is recorded too.
     """
-    xa = np.linspace(0.0, 1.0, audit_points)
+    xa = np.linspace(0.0, 1.0, _AUDIT_POINTS)
     ha = xa[1] - xa[0]
 
     qa = np.interp(xa, drift.grid.nodes, drift.values)
     dqa = np.empty_like(qa)
-    dqa[1:-1] = (qa[2:] - qa[:-2]) / (2.0 * ha)
+    dqa[1:-1] = _centered_first(qa, ha)
     dqa[0] = (qa[1] - qa[0]) / ha
     dqa[-1] = (qa[-1] - qa[-2]) / ha
     c1_bound = float(np.max(np.abs(qa)) + np.max(np.abs(dqa)))
 
-    va = sample_on(spec.initial, xa)
-    v_sups = _derivative_sups(va, ha, 3)
-    c_v = float(max(v_sups))
-    v_prime = (va[2:] - va[:-2]) / (2.0 * ha)
+    # v and its centered divided differences of order 1..3
+    v_diffs = [sample_on(spec.initial, xa)]
+    for _ in range(3):
+        v_diffs.append(_centered_first(v_diffs[-1], ha))
+    c_v = max(float(np.max(np.abs(d))) for d in v_diffs)
+    v_prime = v_diffs[1]
 
     fa = sample_on(spec.source, xa)
-    f_prime = (fa[2:] - fa[:-2]) / (2.0 * ha)
+    f_prime = _centered_first(fa, ha)
 
     T = spec.horizon
-    ta = np.linspace(T / audit_points, T, audit_points)
+    ta = np.linspace(T / _AUDIT_POINTS, T, _AUDIT_POINTS)
     b2a = sample_on(spec.right_flux, ta)
-    b2_prime = (b2a[2:] - b2a[:-2]) / (2.0 * (ta[1] - ta[0]))
+    b2_prime = _centered_first(b2a, ta[1] - ta[0])
 
     results: dict[str, str] = {}
     notes: dict[str, str] = {}

@@ -43,6 +43,12 @@ _BRACKET_RATIO = 1.05
 # not the fit.  On the paper presets every search solve stays within 1.0x the data.
 _BLOWUP_RATIO = 1e6
 
+# The discrepancy search: target _SAFETY * sqrt(K) * sigma (Morozov's tau), and a
+# geometric scan of _GRID_POINTS values from _LAMBDA_MIN up to the ceiling.
+_SAFETY = 1.01
+_LAMBDA_MIN = 1e-12
+_GRID_POINTS = 8
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -60,45 +66,30 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class TikhonovConfig:
-    """Penalty weight, fixed or selected by the discrepancy principle.
+    """Penalty weight: a fixed `lam`, or None for the discrepancy principle.
 
-    `lambda_max=None` scales the search ceiling with the data-grid size:
-    the penalty rows carry a 1/(K-1)^2 factor, so the weight that matters
-    is lambda/(K-1)^4 and a fixed ceiling would stop smoothing anything
-    already at modest K.
+    The search ceiling scales with the data-grid size K: the penalty rows
+    carry a 1/(K-1)^2 factor, so the weight that matters is lambda/(K-1)^4
+    and a fixed ceiling would stop smoothing anything already at modest K.
+    `ExperimentPreset` rejects a fixed `lam` above the ceiling.
     """
 
     lam: float | None = None
-    safety: float = 1.01
-    lambda_min: float = 1e-12
-    lambda_max: float | None = None
-    grid_points: int = 8
 
     def __post_init__(self):
         if self.lam is not None and not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise ConfigurationError(f"fixed lambda must be finite and > 0, got {self.lam!r}")
-        if self.lambda_max is not None and not (0.0 < self.lambda_min < self.lambda_max < np.inf):
-            raise ConfigurationError(
-                f"need 0 < lambda_min < lambda_max < inf, got {self.lambda_min!r}, {self.lambda_max!r}"
-            )
-        if not (self.safety > 0.0 and np.isfinite(self.safety)):
-            # a target <= 0 is met by lambda_min and a NaN target by no lambda at all
-            raise ConfigurationError(f"safety must be finite and > 0, got {self.safety!r}")
-        if not (self.lambda_min > 0.0):
-            raise ConfigurationError(f"lambda_min must be > 0, got {self.lambda_min!r}")
-        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
-            raise ConfigurationError(f"grid_points must be an integer >= 2, got {self.grid_points!r}")
 
-    def resolved_lambda_max(self, n_points: int) -> float:
-        if self.lambda_max is not None:
-            return self.lambda_max
+    @staticmethod
+    def resolved_lambda_max(n_points: int) -> float:
         # effective weight on raw second differences is lambda/(K-1)^4;
         # beyond ~1e14 the normal equations stop being numerically definite
         return 1e14 * float(n_points - 1) ** 4
 
-    def discrepancy_target(self, n_points: int, sigma_abs: float) -> float:
-        """Fit residual the discrepancy principle aims for: safety * sqrt(K) * sigma."""
-        return float(self.safety * np.sqrt(n_points) * sigma_abs)
+    @staticmethod
+    def discrepancy_target(n_points: int, sigma_abs: float) -> float:
+        """Fit residual the discrepancy principle aims for: tau * sqrt(K) * sigma."""
+        return float(_SAFETY * np.sqrt(n_points) * sigma_abs)
 
 
 def noise_sigma(g_exact: np.ndarray, noise: NoiseSpec) -> float:
@@ -220,27 +211,25 @@ def select_lambda(
     penalty: scipy.sparse.spmatrix,
     g_tilde: np.ndarray,
     sigma_abs: float,
-    config: TikhonovConfig | None = None,
 ) -> float:
     """Discrepancy-principle search for the penalty weight.
 
     Finds a lambda whose fit residual ||A g - g~|| reaches
-    `config.discrepancy_target(K, sigma_abs)`: a geometric scan brackets
+    `TikhonovConfig.discrepancy_target(K, sigma_abs)`: an 8-point geometric
+    scan from 1e-12 up to `TikhonovConfig.resolved_lambda_max(K)` brackets
     the crossing, then log-lambda bisection shrinks the bracket to
-    hi/lo <= 1.05, at most 8 + 9 solves at defaults.  Not Newton or regula
-    falsi: near the crossing cond(A^T A + lambda R^T R) ~ 1e14 makes the
-    residual jitter by 1-2 % and lose monotonicity.  If even the largest
-    lambda falls short, the smallest grid value is returned with a warning;
-    a `lambda_min` at or above the resolved ceiling raises ConfigurationError.
+    hi/lo <= 1.05, at most 8 + 9 solves.  Not Newton or regula falsi: near
+    the crossing cond(A^T A + lambda R^T R) ~ 1e14 makes the residual
+    jitter by 1-2 % and lose monotonicity.  If even the largest lambda
+    falls short, lambda_min = 1e-12 is returned with a warning.
     A solve that fails on conditioning ends the scan or the bisection: one
     whose normal equations are not positive definite, or whose solution
     exceeds 1e6 times ||g~||_inf.  The search path is logged at DEBUG.
     """
-    cfg = config or TikhonovConfig()
     fit, pen, rhs = normal_equations(design, penalty, g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
-    target = cfg.discrepancy_target(n, sigma_abs)
+    target = TikhonovConfig.discrepancy_target(n, sigma_abs)
     g_bound = _BLOWUP_RATIO * float(np.max(np.abs(g_tilde)))
     residuals = {}
 
@@ -253,14 +242,10 @@ def select_lambda(
         residuals[lam] = float(np.linalg.norm(design @ g - g_tilde))
         return residuals[lam] >= target
 
-    lam_max = cfg.resolved_lambda_max(n)
-    if not cfg.lambda_min < lam_max:
-        raise ConfigurationError(
-            f"lambda_min {cfg.lambda_min:g} must lie below the search ceiling {lam_max:g} at K={n}"
-        )
+    lam_max = TikhonovConfig.resolved_lambda_max(n)
     lo = hi = None
     n_bisect = 0
-    for n_grid, lam in enumerate(np.geomspace(cfg.lambda_min, lam_max, cfg.grid_points), 1):
+    for n_grid, lam in enumerate(np.geomspace(_LAMBDA_MIN, lam_max, _GRID_POINTS), 1):
         try:
             if reached(float(lam)):
                 hi = float(lam)
@@ -271,11 +256,11 @@ def select_lambda(
     bracket = (lo, hi)
     if hi is None:
         warnings.warn(
-            f"no lambda in [{cfg.lambda_min:g}, {lam_max:g}] reaches the discrepancy "
+            f"no lambda in [{_LAMBDA_MIN:g}, {lam_max:g}] reaches the discrepancy "
             f"target {target:g}; returning lambda_min",
             stacklevel=2,
         )
-        hi = float(cfg.lambda_min)
+        hi = _LAMBDA_MIN
     elif lo is not None:
         # residual is nondecreasing in lambda up to rounding; lo*hi may over- or underflow
         while hi > _BRACKET_RATIO * lo:
@@ -296,20 +281,9 @@ def select_lambda(
     return hi
 
 
-def restrict(
-    g_star: np.ndarray,
-    target: SpatialGrid,
-    span: tuple[float, float] = (0.0, 1.0),
-) -> GridFunction:
-    """Piecewise-linear restriction of data-grid values onto solver nodes."""
+def restrict(g_star: np.ndarray, target: SpatialGrid) -> GridFunction:
+    """Piecewise-linear restriction of data-grid values on [0, 1] onto solver nodes."""
     g = np.asarray(g_star, dtype=float)
     if g.size < 2:
         raise ConfigurationError(f"need at least 2 data values to interpolate, got {g.size}")
-    lo, hi = span
-    data_x = np.linspace(lo, hi, g.size)
-    nodes = target.nodes
-    if nodes[0] < lo or nodes[-1] > hi:
-        raise ConfigurationError(
-            f"target nodes [{nodes[0]:g}, {nodes[-1]:g}] fall outside the data range [{lo:g}, {hi:g}]"
-        )
-    return GridFunction(target, np.interp(nodes, data_x, g))
+    return GridFunction(target, np.interp(target.nodes, np.linspace(0.0, 1.0, g.size), g))

@@ -94,15 +94,16 @@ def tikhonov_solve(design, penalty, g_tilde, lam):
         raise IllPosedError(str(exc)) from exc
 
 
-def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
+def tikhonov_search(design, penalty, g_tilde, sigma_abs):
     """Discrepancy search with one full reference solve and one sparse
-    residual product per lambda: the `grid_points` scan, then log-lambda
-    bisection until hi/lo <= 1.05; returns lambda_min when nothing reaches
-    the target.  A solve that fails, or whose solution exceeds 1e6 times
-    the data's sup norm, ends the scan or the bisection."""
+    residual product per lambda: target 1.01 * sqrt(K) * sigma, an 8-point
+    geometric scan from 1e-12 to 1e14 * (K-1)^4, then log-lambda bisection
+    until hi/lo <= 1.05; returns 1e-12 when nothing reaches the target.
+    A solve that fails, or whose solution exceeds 1e6 times the data's sup
+    norm, ends the scan or the bisection."""
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
-    target = config.safety * np.sqrt(n) * sigma_abs
+    target = 1.01 * np.sqrt(n) * sigma_abs
 
     def reached(lam):
         g_star = tikhonov_solve(design, penalty, g_tilde, lam)
@@ -111,7 +112,7 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
         return np.linalg.norm(design @ g_star - g_tilde) >= target
 
     lo = hi = None
-    for lam in np.geomspace(config.lambda_min, config.resolved_lambda_max(n), config.grid_points):
+    for lam in np.geomspace(1e-12, 1e14 * float(n - 1) ** 4, 8):
         try:
             if reached(float(lam)):
                 hi = float(lam)
@@ -120,7 +121,7 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs, config):
             break
         lo = float(lam)
     if hi is None or lo is None:
-        return float(config.lambda_min) if hi is None else hi
+        return 1e-12 if hi is None else hi
     while hi > 1.05 * lo:
         mid = float(np.sqrt(lo) * np.sqrt(hi))
         try:

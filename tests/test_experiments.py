@@ -82,6 +82,14 @@ class TestPresets:
             dr.make_preset("ex3e", data_points=20)
         assert dr.make_preset("ex3e", data_points=21).data_points == 21
 
+    def test_fixed_lambda_bounded_by_search_ceiling(self):
+        # above 1e14 * (K-1)^4 the normal equations are no longer numerically definite
+        ceiling = 1e14 * 2000.0**4
+        assert dr.make_preset("ex3e", data_points=2001, lam=ceiling).tikhonov.lam == ceiling
+        with pytest.raises(ConfigurationError, match="lambda") as exc:
+            dr.make_preset("ex3e", data_points=2001, lam=float(np.nextafter(ceiling, np.inf)))
+        assert f"{ceiling:g}" in str(exc.value)
+
     def test_drift_shapes(self):
         x = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 1.0])
         assert np.allclose(drift_sine(x), np.sin(x))

@@ -34,12 +34,10 @@ class TestInitialDrift:
         vals = grid.nodes.copy()
         vals[6] = vals[4] + 2.0 * grid.h * 1e-12
         g = dr.GridFunction(grid, vals)
-        cfg = dr.IterationConfig()
-        _, slope, hits = dr.data_terms(g, _linear_data_spec(), cfg)
-        floor = cfg.denom_floor * np.max((g.values[2:] - g.values[:-2]) / (2.0 * grid.h))
+        q0, slope, hits = dr.data_terms(g, _linear_data_spec())
+        floor = 1e-3 * np.max((g.values[2:] - g.values[:-2]) / (2.0 * grid.h))
         assert hits >= 1
         assert slope[4] == floor  # slope index 4 is node 5
-        q0 = dr.data_terms(g, _linear_data_spec(), cfg)[0]
         assert np.isfinite(q0.values).all()
 
     def test_hopeless_data_raises(self):
@@ -101,7 +99,7 @@ class TestRunIteration:
         setup = ex1_setup
         cfg = dr.IterationConfig(max_iter=10, tol_step=1e6)
         q_final, trace = dr.run_iteration(setup["data"], setup["spec"], setup["grids"], cfg)
-        q0 = dr.data_terms(setup["data"], setup["spec"], cfg)[0]
+        q0 = dr.data_terms(setup["data"], setup["spec"])[0]
         assert np.array_equal(q_final.values, q0.values)
         assert 1 <= len(trace.iterates) <= 2
         assert len(trace.step_norms) == 1
@@ -150,8 +148,6 @@ class TestRunIteration:
             dr.IterationConfig(max_iter=2.5)
         with pytest.raises(ConfigurationError, match="tol_step"):
             dr.IterationConfig(tol_step=0.0)
-        with pytest.raises(ConfigurationError, match="denom_floor"):
-            dr.IterationConfig(denom_floor=-1.0)
 
 
 class TestErrorMetrics:

@@ -17,32 +17,63 @@ def _objective(design, penalty, g_tilde, lam, g):
             + lam * np.linalg.norm(penalty @ g) ** 2)
 
 
-def _fail_off_the_scan_grid(monkeypatch, n, cfg, failed_solve):
-    """Make every solve at a lambda off select_lambda's scan grid, that is
-    every bisection solve, return `failed_solve(solve, *args)` instead."""
-    grid = set(np.geomspace(cfg.lambda_min, cfg.resolved_lambda_max(n), cfg.grid_points).tolist())
+def _scan_grid(n):
+    """The default scan: 8 geometric values from 1e-12 up to the ceiling at K = n."""
+    return np.geomspace(1e-12, dr.TikhonovConfig.resolved_lambda_max(n), 8).tolist()
+
+
+def _fail_solves(monkeypatch, failed_solve, fails):
+    """Make every solve whose lambda satisfies `fails(lam)` return
+    `failed_solve(solve, *args)` instead."""
     solve = mollify._solve_bands
 
     def patched(fit, pen, rhs, lam):
-        if lam in grid:
-            return solve(fit, pen, rhs, lam)
-        return failed_solve(solve, fit, pen, rhs, lam)
+        if fails(lam):
+            return failed_solve(solve, fit, pen, rhs, lam)
+        return solve(fit, pen, rhs, lam)
 
     monkeypatch.setattr(mollify, "_solve_bands", patched)
-    return grid
+
+
+def _not_positive_definite(solve, fit, pen, rhs, lam):
+    raise IllPosedError(f"normal equations not positive definite (lambda={lam!r})")
+
+
+def _blown_up(solve, fit, pen, rhs, lam):
+    return 1e7 * solve(fit, pen, rhs, lam)
+
+
+def _search_counts(caplog):
+    message = caplog.records[0].getMessage()
+    return tuple(map(int, re.search(r"(\d+) grid \+ (\d+) bisection", message).groups()))
 
 
 def _bisection_ended_at_first_solve(s, monkeypatch, caplog, failed_solve):
-    cfg = dr.TikhonovConfig()
-    grid = _fail_off_the_scan_grid(monkeypatch, s["g_tilde"].size, cfg, failed_solve)
+    grid = set(_scan_grid(s["g_tilde"].size))
+    _fail_solves(monkeypatch, failed_solve, lambda lam: lam not in grid)
     with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"], cfg)
-    n_bisect = int(re.search(r"(\d+) bisection", caplog.records[0].getMessage()).group(1))
-    assert n_bisect == 1
+        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+    assert _search_counts(caplog)[1] == 1
     assert lam in grid  # the scan's upper end, which solved and reached the target
     g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
-    target = cfg.discrepancy_target(s["g_tilde"].size, s["sigma"])
+    target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
     assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
+
+
+def _scan_ended_at_third_point(monkeypatch, caplog, failed_solve):
+    # noise far above the data scale: unpatched, all 8 scan points solve and
+    # fall short, so only the failed solve stops the scan early
+    n = 21
+    g = np.linspace(0.0, 1e-3, n)
+    design = dr.build_design_matrix(n)
+    penalty = dr.build_regularization_matrix(n)
+    third = _scan_grid(n)[2]
+    _fail_solves(monkeypatch, failed_solve, lambda lam: lam >= third)
+    with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+        with pytest.warns(UserWarning, match="returning lambda_min"):
+            lam = dr.select_lambda(design, penalty, g, 10.0)
+    assert lam == 1e-12
+    assert _search_counts(caplog) == (3, 0)
 
 
 @pytest.fixture(scope="module")
@@ -287,8 +318,7 @@ class TestSelectLambda:
 
     def test_residual_monotone_in_lambda(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        cfg = dr.TikhonovConfig()
-        lam_grid = np.geomspace(1e-12, cfg.resolved_lambda_max(s["g_tilde"].size), 20)
+        lam_grid = np.geomspace(1e-12, dr.TikhonovConfig.resolved_lambda_max(s["g_tilde"].size), 20)
         residuals = []
         smoothness = []
         for lam in lam_grid:
@@ -303,8 +333,7 @@ class TestSelectLambda:
         s = ex3e_noisy_setup
         _, reference_search = tikhonov_reference
         lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
-        assert lam == reference_search(s["design"], s["penalty"], s["g_tilde"], s["sigma"],
-                                       dr.TikhonovConfig())
+        assert lam == reference_search(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
 
     def test_logs_search_once(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
@@ -315,81 +344,68 @@ class TestSelectLambda:
         assert "bracket" in message and "bisection solves" in message
         assert f"lambda {lam!r}" in message and "target" in message
 
-    def test_factorization_failure_ends_scan(self, caplog):
-        # zero data keeps the residual at 0, so only the conditioning limit
-        # stops the scan before lambda_max
-        n = 21
-        design = dr.build_design_matrix(n)
-        penalty = dr.build_regularization_matrix(n)
-        cfg = dr.TikhonovConfig(lambda_max=1e80)
-        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            with pytest.warns(UserWarning, match="lambda_min"):
-                lam = dr.select_lambda(design, penalty, np.zeros(n), 1.0, cfg)
-        assert lam == 1e-12
-        n_grid = int(re.search(r"(\d+) grid", caplog.records[0].getMessage()).group(1))
-        assert n_grid < cfg.grid_points
+    def test_factorization_failure_ends_scan(self, monkeypatch, caplog):
+        _scan_ended_at_third_point(monkeypatch, caplog, _not_positive_definite)
+
+    def test_near_singular_solve_not_accepted(self, monkeypatch, caplog):
+        # a blown-up solve would "reach" the target on its rounding residual
+        _scan_ended_at_third_point(monkeypatch, caplog, _blown_up)
 
     def test_factorization_failure_ends_bisection(self, ex3e_noisy_setup, monkeypatch, caplog):
-        def not_positive_definite(solve, fit, pen, rhs, lam):
-            raise IllPosedError(f"normal equations not positive definite (lambda={lam!r})")
-
         _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog,
-                                        not_positive_definite)
+                                        _not_positive_definite)
 
     def test_blown_up_solve_ends_bisection(self, ex3e_noisy_setup, monkeypatch, caplog):
-        def blown_up(solve, fit, pen, rhs, lam):
-            return 1e7 * solve(fit, pen, rhs, lam)
-
-        _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog, blown_up)
-
-    def test_near_singular_solve_not_accepted(self):
-        # the 60-point scan lands on lambda = 1.54e19, where the solution
-        # reaches 5.3e11 for data of size 1e-3 and so "reaches" the target
-        n = 5
-        design = dr.build_design_matrix(n)
-        penalty = dr.build_regularization_matrix(n)
-        g = np.linspace(0.0, 1e-3, n)
-        cfg = dr.TikhonovConfig(lambda_max=1e80, grid_points=60)
-        with pytest.warns(UserWarning, match="returning lambda_min"):
-            lam = dr.select_lambda(design, penalty, g, 10.0, cfg)
-        assert lam == cfg.lambda_min
-        g_star = dr.solve_tikhonov(design, penalty, g, lam)
-        assert np.max(np.abs(g_star)) <= 1e6 * np.max(np.abs(g))
+        _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog, _blown_up)
 
     def test_default_search_budget(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
             lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         message = caplog.records[0].getMessage()
-        n_grid, n_bisect = map(int, re.search(r"(\d+) grid \+ (\d+) bisection", message).groups())
+        n_grid, n_bisect = _search_counts(caplog)
         lo, hi = map(float, re.search(r"final bracket \(([^,]+), ([^)]+)\)", message).groups())
         assert n_grid + n_bisect <= 17
         assert hi == lam and hi / lo <= 1.05
         g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
-        target = dr.TikhonovConfig().discrepancy_target(s["g_tilde"].size, s["sigma"])
+        target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
         assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
-    def test_no_qualifying_lambda_warns(self):
-        # tiny search window, noise far larger than the data scale
+    def test_no_qualifying_lambda_warns(self, caplog):
+        # noise far larger than the data scale: no lambda up to the ceiling reaches the target
         n = 21
         g = np.linspace(0.0, 1e-3, n)
         design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
-        cfg = dr.TikhonovConfig(lambda_min=1e-12, lambda_max=1e-11)
-        with pytest.warns(UserWarning, match="lambda_min"):
-            lam = dr.select_lambda(design, penalty, g, 10.0, cfg)
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            with pytest.warns(UserWarning, match="no lambda in .* reaches .*returning lambda_min"):
+                lam = dr.select_lambda(design, penalty, g, 10.0)
         assert lam == 1e-12
+        assert _search_counts(caplog) == (8, 0)
 
-    @pytest.mark.parametrize("factor", [1.0, 10.0])
-    def test_lambda_min_at_or_above_ceiling_rejected(self, ex3e_noisy_setup, factor):
-        # the default ceiling at K = 10001 is 1e30; scanning down from 1e31 returned
-        # lambda = 1e31 with residual 60.6 against a target of 3.87, silently
-        s = ex3e_noisy_setup
-        ceiling = dr.TikhonovConfig().resolved_lambda_max(s["g_tilde"].size)
-        cfg = dr.TikhonovConfig(lambda_min=factor * ceiling)
-        with pytest.raises(ConfigurationError, match="lambda_min") as exc:
-            dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"], cfg)
-        assert f"{cfg.lambda_min:g}" in str(exc.value) and f"{ceiling:g}" in str(exc.value)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_default_scan_solves_within_bound(self, data):
+        # every default scan lambda factors and keeps the solution within the
+        # blow-up bound 1e6 * ||g~||_inf, whatever the data's shape and scale
+        n = data.draw(st.integers(3, 400), label="K")
+        kind = data.draw(st.sampled_from(("uniform", "spike", "extreme", "linear")), label="kind")
+        mag = st.floats(1e-300, 1e300).flatmap(lambda v: st.sampled_from((v, -v)))
+        if kind == "uniform":
+            g_tilde = np.full(n, data.draw(mag))
+        elif kind == "spike":
+            g_tilde = np.zeros(n)
+            g_tilde[data.draw(st.integers(0, n - 1))] = data.draw(mag)
+        elif kind == "extreme":
+            g_tilde = np.array(data.draw(st.lists(st.sampled_from((1e300, -1e300, 1e-300, -1e-300)),
+                                                  min_size=n, max_size=n)))
+        else:
+            g_tilde = np.linspace(data.draw(mag), data.draw(mag), n)
+        bands = mollify.normal_equations(dr.build_design_matrix(n),
+                                         dr.build_regularization_matrix(n), g_tilde)
+        for lam in _scan_grid(n):
+            g = mollify._solve_bands(*bands, lam)
+            assert np.max(np.abs(g)) <= 1e6 * np.max(np.abs(g_tilde))
 
 
 class TestRestrict:
@@ -414,28 +430,13 @@ class TestRestrict:
         exact = np.sin(np.pi * target.nodes)
         assert np.max(np.abs(out.values - exact)) <= (np.pi**2 / 8.0) * h**2
 
-    def test_out_of_range_rejected(self):
-        data = np.linspace(0.0, 1.0, 100)
-        with pytest.raises(ConfigurationError, match="outside"):
-            dr.restrict(data, dr.SpatialGrid(10), span=(0.2, 0.8))
-
 
 class TestTikhonovConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="lambda"):
             dr.TikhonovConfig(lam=0.0)
-        with pytest.raises(ConfigurationError, match="lambda"):
-            dr.TikhonovConfig(lambda_min=1.0, lambda_max=0.5)
-        with pytest.raises(ConfigurationError, match="lambda"):
-            dr.TikhonovConfig(lambda_max=float("inf"))
-        with pytest.raises(ConfigurationError, match="grid_points must be an integer"):
-            dr.TikhonovConfig(grid_points=2.5)
-        for safety in (float("nan"), float("inf"), 0.0, -1.01):
-            with pytest.raises(ConfigurationError, match="safety must be finite and > 0"):
-                dr.TikhonovConfig(safety=safety)
 
     def test_ceiling_scales_with_data_size(self):
-        cfg = dr.TikhonovConfig()
-        assert cfg.resolved_lambda_max(10_001) >= 1e29
-        assert cfg.resolved_lambda_max(101) < cfg.resolved_lambda_max(10_001)
-        assert dr.TikhonovConfig(lambda_max=2.0).resolved_lambda_max(10_001) == 2.0
+        ceiling = dr.TikhonovConfig.resolved_lambda_max
+        assert ceiling(10_001) >= 1e29
+        assert ceiling(101) < ceiling(10_001)

@@ -7,6 +7,7 @@ OUT must be absent or empty.  The set is:
 - every preset at its defaults (`driftrec suite`);
 - ex1a on a 400x400 solver grid;
 - ex3e and ex3f at noise seeds 7, 11, 13 and 31;
+- ex3e with a fixed lambda of 1e24 on 2001 data points;
 - `driftrec forward ex1a --out`;
 - `driftrec mollify ex3e --noise 0.01 --seed 7 --data-points 2001 --out`.
 
@@ -40,6 +41,8 @@ def _runs(out: Path) -> list[list[str]]:
         for seed in NOISY_SEEDS:
             runs.append(["experiment", name, "--seed", str(seed),
                          "--out", str(out / f"{name}-seed{seed}")])
+    runs.append(["experiment", "ex3e", "--data-points", "2001", "--lambda", "1e24", "--seed", "7",
+                 "--out", str(out / "ex3e-lambda1e24")])
     runs.append(["forward", "ex1a", "--out", str(out / "forward-ex1a")])
     runs.append(["mollify", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
                  "--out", str(out / "mollify-ex3e")])
