@@ -129,6 +129,9 @@ class ExperimentPreset:
             # nothing to denoise: a run would skip the step yet record mollify=true
             raise ConfigurationError("mollify needs a noise level > 0")
         lam, ceiling = self.tikhonov.lam, self.tikhonov.resolved_lambda_max(k)
+        if lam is not None and not self.mollify:
+            # only the mollifier reads lambda: a run would silently ignore it
+            raise ConfigurationError(f"fixed lambda {lam:g} needs a run that mollifies its data")
         if lam is not None and lam > ceiling:
             # above it the normal equations are no longer numerically definite
             raise ConfigurationError(
@@ -244,31 +247,33 @@ def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray, np.nda
 def mollify_data(
     preset: ExperimentPreset, g_exact: np.ndarray, g_measured: np.ndarray
 ) -> tuple[np.ndarray, dict]:
-    """Denoise the measurement with the preset's Tikhonov settings.
+    """Denoise the noisy measurement with the preset's Tikhonov settings.
 
     The penalty weight is the preset's fixed `lam` or else the
-    discrepancy-principle choice, which needs the preset's noise level.
+    discrepancy-principle choice, whose search solution is g* itself.
     Returns the mollified data g* and a record of the weight, the fit
-    residual, sigma and the discrepancy target (both None without noise).
+    residual, sigma and the discrepancy target.  A preset without noise
+    has nothing to mollify and is rejected.
     """
+    if preset.noise is None or preset.noise.level <= 0.0:
+        raise ConfigurationError("mollify_data needs a preset with a noise level > 0")
     spec = preset.spec
     n_pts = preset.data_points
     design = build_design_matrix(n_pts)
     penalty = build_regularization_matrix(n_pts)
     h_data = 1.0 / (n_pts - 1)
     g_tilde = assemble_rhs(g_measured, spec.left_flux, float(spec.right_flux(spec.horizon)), h_data)
-    sigma_abs = noise_sigma(g_exact, preset.noise) if preset.noise is not None else None
+    sigma_abs = noise_sigma(g_exact, preset.noise)
     lam = preset.tikhonov.lam
     if lam is None:
-        if sigma_abs is None:
-            raise ConfigurationError("discrepancy search needs a noise level")
-        lam = select_lambda(design, penalty, g_tilde, sigma_abs)
-    g_star = solve_tikhonov(design, penalty, g_tilde, lam)
+        lam, g_star = select_lambda(design, penalty, g_tilde, sigma_abs)
+    else:
+        g_star = solve_tikhonov(design, penalty, g_tilde, lam)
     record = {
         "lambda": float(lam),
         "mode": "fixed" if preset.tikhonov.lam is not None else "discrepancy",
         "residual": float(np.linalg.norm(design @ g_star - g_tilde)),
-        "target": None if sigma_abs is None else preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
+        "target": preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
         "sigma_abs": sigma_abs,
         "data_points": int(n_pts),
     }

@@ -12,10 +12,12 @@ last entries.  The normal equations are pentadiagonal and symmetric
 positive definite, so the solve is O(K) however large the data grid is.
 
 Only lambda changes while the discrepancy principle searches for it, so
-the bands of A^T A and R^T R and A^T g~ are built once per search and each
+the bands of A^T A and R^T R and A^T g~ are built once per run and each
 lambda costs one O(K) banded Cholesky solve (LAPACK dpbsv).  An 8-point
 scan and a log-lambda bisection to a 5 % bracket take at most 17 solves;
 the residual jitters by 1-2 % near the crossing, ruling out secant steps.
+The search returns its own solve at the chosen lambda, which is the
+mollified data, so nothing is solved twice.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ def select_lambda(
     penalty: scipy.sparse.spmatrix,
     g_tilde: np.ndarray,
     sigma_abs: float,
-) -> float:
+) -> tuple[float, np.ndarray]:
     """Discrepancy-principle search for the penalty weight.
 
     Finds a lambda whose fit residual ||A g - g~|| reaches
@@ -220,8 +222,12 @@ def select_lambda(
     the crossing, then log-lambda bisection shrinks the bracket to
     hi/lo <= 1.05, at most 8 + 9 solves.  Not Newton or regula falsi: near
     the crossing cond(A^T A + lambda R^T R) ~ 1e14 makes the residual
-    jitter by 1-2 % and lose monotonicity.  If even the largest lambda
-    falls short, lambda_min = 1e-12 is returned with a warning.
+    jitter by 1-2 % and lose monotonicity.  Returns (lambda, g): g is the
+    search's own solve at that lambda, so the mollified data costs no
+    solve beyond the search.  If even the largest lambda falls short,
+    lambda_min = 1e-12 is returned with a warning, and one more solve at
+    lambda_min, without the blow-up check, gives g; it raises
+    `IllPosedError` if lambda_min cannot be factored.
     A solve that fails on conditioning ends the scan or the bisection: one
     whose normal equations are not positive definite, or whose solution
     exceeds 1e6 times ||g~||_inf.  The search path is logged at DEBUG.
@@ -232,15 +238,20 @@ def select_lambda(
     target = TikhonovConfig.discrepancy_target(n, sigma_abs)
     g_bound = _BLOWUP_RATIO * float(np.max(np.abs(g_tilde)))
     residuals = {}
+    kept = None  # the solution at the smallest lambda so far that reached the target
 
     def reached(lam: float) -> bool:
+        nonlocal kept
         g = _solve_bands(fit, pen, rhs, lam)
         if not np.max(np.abs(g)) <= g_bound:
             raise IllPosedError(
                 f"solution exceeds {_BLOWUP_RATIO:g} x ||g~||_inf (lambda={lam!r}): near-singular"
             )
         residuals[lam] = float(np.linalg.norm(design @ g - g_tilde))
-        return residuals[lam] >= target
+        if residuals[lam] < target:
+            return False
+        kept = g
+        return True
 
     lam_max = TikhonovConfig.resolved_lambda_max(n)
     lo = hi = None
@@ -261,6 +272,7 @@ def select_lambda(
             stacklevel=2,
         )
         hi = _LAMBDA_MIN
+        kept = _solve_bands(fit, pen, rhs, hi)
     elif lo is not None:
         # residual is nondecreasing in lambda up to rounding; lo*hi may over- or underflow
         while hi > _BRACKET_RATIO * lo:
@@ -278,7 +290,7 @@ def select_lambda(
         "lambda %r, residual %r, target %r",
         bracket, n_grid, n_bisect, (lo, hi), hi, residuals.get(hi), target,
     )
-    return hi
+    return hi, kept
 
 
 def restrict(g_star: np.ndarray, target: SpatialGrid) -> GridFunction:

@@ -18,6 +18,14 @@ class TestExitCodes:
         assert main(["mollify", "ex1a"]) == 2
         assert "noise" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["invert", "ex1a", "--data-points", "1001", "--lambda", "1.0"],
+        ["invert", "ex3e", "--data-points", "2001", "--lambda", "1e24", "--no-mollify"],
+    ])
+    def test_fixed_lambda_without_mollify(self, argv, capsys):
+        assert main(argv) == 2
+        assert "needs a run that mollifies its data" in capsys.readouterr().err
+
     def test_bad_format(self, capsys):
         assert main(["experiment", "ex1a", "--formats", "csv,pdf"]) == 2
 

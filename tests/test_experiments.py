@@ -64,13 +64,22 @@ class TestPresets:
     def test_overrides(self):
         p = dr.make_preset("ex3e", noise_level=0.03, seed=11, mollify=False,
                            grid_m=40, grid_n=60, refinement=2, data_points=501,
-                           max_iter=9, tol_step=1e-6, lam=0.5)
+                           max_iter=9, tol_step=1e-6)
         assert p.noise.level == 0.03 and p.noise.seed == 11
         assert not p.mollify
         assert p.solver_grid == (40, 60)
         assert p.data_grid_refinement == 2 and p.data_points == 501
         assert p.iteration.max_iter == 9 and p.iteration.tol_step == 1e-6
-        assert p.tikhonov.lam == 0.5
+
+    def test_lambda_override(self):
+        p = dr.make_preset("ex3e", lam=0.5)
+        assert p.mollify and p.tikhonov.lam == 0.5
+
+    @pytest.mark.parametrize("name, mollify", [("ex1a", None), ("ex3e", False)])
+    def test_fixed_lambda_without_mollify_rejected(self, name, mollify):
+        # only the mollifier reads lambda: a run that skips it would ignore the value
+        with pytest.raises(ConfigurationError, match="fixed lambda 1 needs a run that mollifies"):
+            dr.make_preset(name, mollify=mollify, lam=1.0)
 
     @pytest.mark.parametrize("noise_level", [None, 0.0])
     def test_mollify_without_noise_rejected(self, noise_level):
@@ -138,18 +147,19 @@ class TestGenerateData:
 
 
 class TestMollifyData:
-    def test_fixed_lambda_without_noise_records_no_sigma(self):
-        preset = dr.make_preset("ex1a", data_points=1001, lam=1.0)
+    def test_fixed_lambda_records_sigma_and_target(self):
+        preset = dr.make_preset("ex3e", data_points=2001, lam=1e24)
         _, g_exact, g_measured = dr.synthesize(preset)
         g_star, record = dr.mollify_data(preset, g_exact, g_measured)
-        assert record["sigma_abs"] is None and record["target"] is None
-        assert record["mode"] == "fixed" and record["lambda"] == 1.0
+        assert record["mode"] == "fixed" and record["lambda"] == 1e24
+        assert record["sigma_abs"] == dr.noise_sigma(g_exact, preset.noise)
+        assert record["target"] == dr.TikhonovConfig.discrepancy_target(2001, record["sigma_abs"])
         assert np.all(np.isfinite(g_star))
 
     def test_discrepancy_search_without_noise_rejected(self):
         preset = dr.make_preset("ex1a", data_points=1001)
         _, g_exact, g_measured = dr.synthesize(preset)
-        with pytest.raises(ConfigurationError, match="noise level"):
+        with pytest.raises(ConfigurationError, match="noise level > 0"):
             dr.mollify_data(preset, g_exact, g_measured)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import re
 
@@ -52,10 +53,10 @@ def _bisection_ended_at_first_solve(s, monkeypatch, caplog, failed_solve):
     grid = set(_scan_grid(s["g_tilde"].size))
     _fail_solves(monkeypatch, failed_solve, lambda lam: lam not in grid)
     with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+        lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
     assert _search_counts(caplog)[1] == 1
     assert lam in grid  # the scan's upper end, which solved and reached the target
-    g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
+    assert np.array_equal(g_star, dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam))
     target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
     assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
@@ -64,16 +65,17 @@ def _scan_ended_at_third_point(monkeypatch, caplog, failed_solve):
     # noise far above the data scale: unpatched, all 8 scan points solve and
     # fall short, so only the failed solve stops the scan early
     n = 21
-    g = np.linspace(0.0, 1e-3, n)
+    g_tilde = np.linspace(0.0, 1e-3, n)
     design = dr.build_design_matrix(n)
     penalty = dr.build_regularization_matrix(n)
     third = _scan_grid(n)[2]
     _fail_solves(monkeypatch, failed_solve, lambda lam: lam >= third)
     with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
         with pytest.warns(UserWarning, match="returning lambda_min"):
-            lam = dr.select_lambda(design, penalty, g, 10.0)
+            lam, g_star = dr.select_lambda(design, penalty, g_tilde, 10.0)
     assert lam == 1e-12
     assert _search_counts(caplog) == (3, 0)
+    assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
 
 
 @pytest.fixture(scope="module")
@@ -297,13 +299,12 @@ class TestSelectLambda:
         g = np.linspace(1.0, 2.0, n)
         design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
-        lam = dr.select_lambda(design, penalty, g, 0.0)
+        lam, _ = dr.select_lambda(design, penalty, g, 0.0)
         assert lam == 1e-12
 
     def test_residual_brackets_target(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
-        g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
+        _, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         residual = np.linalg.norm(s["design"] @ g_star - s["g_tilde"])
         target = 1.01 * np.sqrt(s["g_tilde"].size) * s["sigma"]
         assert residual >= target
@@ -311,8 +312,7 @@ class TestSelectLambda:
 
     def test_mollification_reduces_data_error(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
-        g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
+        _, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         assert (np.linalg.norm(g_star - s["g_exact"])
                 < np.linalg.norm(s["g_noisy"] - s["g_exact"]))
 
@@ -332,17 +332,18 @@ class TestSelectLambda:
     def test_matches_sparse_reference(self, ex3e_noisy_setup, tikhonov_reference):
         s = ex3e_noisy_setup
         _, reference_search = tikhonov_reference
-        lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+        lam, _ = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         assert lam == reference_search(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
 
     def test_logs_search_once(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+            lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "bracket" in message and "bisection solves" in message
-        assert f"lambda {lam!r}" in message and "target" in message
+        residual = float(np.linalg.norm(s["design"] @ g_star - s["g_tilde"]))
+        assert f"lambda {lam!r}, residual {residual!r}" in message and "target" in message
 
     def test_factorization_failure_ends_scan(self, monkeypatch, caplog):
         _scan_ended_at_third_point(monkeypatch, caplog, _not_positive_definite)
@@ -361,13 +362,12 @@ class TestSelectLambda:
     def test_default_search_budget(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            lam = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+            lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
         message = caplog.records[0].getMessage()
         n_grid, n_bisect = _search_counts(caplog)
         lo, hi = map(float, re.search(r"final bracket \(([^,]+), ([^)]+)\)", message).groups())
         assert n_grid + n_bisect <= 17
         assert hi == lam and hi / lo <= 1.05
-        g_star = dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam)
         target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
         assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
@@ -379,9 +379,55 @@ class TestSelectLambda:
         penalty = dr.build_regularization_matrix(n)
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
             with pytest.warns(UserWarning, match="no lambda in .* reaches .*returning lambda_min"):
-                lam = dr.select_lambda(design, penalty, g, 10.0)
+                lam, _ = dr.select_lambda(design, penalty, g, 10.0)
         assert lam == 1e-12
         assert _search_counts(caplog) == (8, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
+           noise=st.sampled_from((0.0, 0.05, 1e3)))
+    def test_returns_the_solve_at_its_lambda(self, tikhonov_reference, n, seed, noise):
+        # noise 0 stops at the first scan point, 0.05 of the data's scale
+        # usually bisects, 1e3 never reaches the target and falls back
+        _, reference_search = tikhonov_reference
+        design = dr.build_design_matrix(n)
+        penalty = dr.build_regularization_matrix(n)
+        g_tilde = np.random.default_rng(seed).standard_normal(n)
+        sigma = noise * np.max(np.abs(g_tilde))
+        expected_lam = reference_search(design, penalty, g_tilde, sigma)
+        falls_back = sigma > 0.0 and expected_lam == 1e-12
+        with (pytest.warns(UserWarning, match="returning lambda_min") if falls_back
+              else contextlib.nullcontext()):
+            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+        assert lam == expected_lam
+        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+
+    def test_fallback_solve_failure_raises(self, monkeypatch):
+        n = 21
+        _fail_solves(monkeypatch, _not_positive_definite, lambda lam: True)
+        with pytest.warns(UserWarning, match="returning lambda_min"):
+            with pytest.raises(IllPosedError, match="not positive definite"):
+                dr.select_lambda(dr.build_design_matrix(n), dr.build_regularization_matrix(n),
+                                 np.linspace(0.0, 1.0, n), 0.01)
+
+    def test_pipeline_solves_only_in_the_search(self, monkeypatch, caplog):
+        # the mollified data is the search's own solution: one set of bands and
+        # no solve beyond the scan and the bisection
+        calls = {"normal_equations": 0, "_solve_bands": 0}
+        for name in calls:
+            original = getattr(mollify, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(mollify, name, counted)
+        preset = dr.make_preset("ex3e")
+        _, g_exact, g_measured = dr.synthesize(preset)
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            _, record = dr.mollify_data(preset, g_exact, g_measured)
+        assert record["mode"] == "discrepancy"
+        assert calls == {"normal_equations": 1, "_solve_bands": sum(_search_counts(caplog))}
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

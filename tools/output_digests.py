@@ -9,7 +9,8 @@ OUT must be absent or empty.  The set is:
 - ex3e and ex3f at noise seeds 7, 11, 13 and 31;
 - ex3e with a fixed lambda of 1e24 on 2001 data points;
 - `driftrec forward ex1a --out`;
-- `driftrec mollify ex3e --noise 0.01 --seed 7 --data-points 2001 --out`.
+- `driftrec mollify ex3e --noise 0.01 --seed 7 --data-points 2001 --out`, once
+  with the discrepancy search and once with a fixed lambda of 1e24.
 
 Each line reads `<sha256>  <path relative to OUT>`, sorted by path, so two
 runs into different directories diff clean exactly when every file is
@@ -46,6 +47,8 @@ def _runs(out: Path) -> list[list[str]]:
     runs.append(["forward", "ex1a", "--out", str(out / "forward-ex1a")])
     runs.append(["mollify", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
                  "--out", str(out / "mollify-ex3e")])
+    runs.append(["mollify", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
+                 "--lambda", "1e24", "--out", str(out / "mollify-ex3e-lambda1e24")])
     return runs
 
 
