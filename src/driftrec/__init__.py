@@ -23,7 +23,6 @@ from .model import (
     ProblemSpec,
     SpatialGrid,
     TemporalGrid,
-    apply_stencil,
     build_grids,
     sample_on,
     validate_assumptions,
@@ -83,7 +82,6 @@ __all__ = [
     "GridFunction",
     "AssumptionReport",
     "build_grids",
-    "apply_stencil",
     "sample_on",
     "validate_assumptions",
     "assemble_step_matrix",

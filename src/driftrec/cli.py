@@ -94,7 +94,7 @@ def cmd_forward(args) -> int:
 
 def cmd_mollify(args) -> int:
     preset = make_preset(args.preset, mollify=True, **_overrides(args))
-    _, g_exact, g_measured = synthesize(preset)
+    g_exact, g_measured = synthesize(preset)
     g_star, record = mollify_data(preset, g_exact, g_measured)
     err_before = float(np.linalg.norm(g_measured - g_exact))
     err_after = float(np.linalg.norm(g_star - g_exact))

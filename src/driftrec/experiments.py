@@ -15,7 +15,7 @@ recorded provenance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -105,12 +105,12 @@ class ExperimentPreset:
     spec: ProblemSpec
     q_true: Callable
     solver_grid: tuple[int, int]
-    data_grid_refinement: int = 4
-    data_points: int = 10001
-    noise: NoiseSpec | None = None
-    mollify: bool = False
-    iteration: IterationConfig = field(default_factory=IterationConfig)
-    tikhonov: TikhonovConfig = field(default_factory=TikhonovConfig)
+    data_grid_refinement: int
+    data_points: int
+    noise: NoiseSpec | None
+    mollify: bool
+    iteration: IterationConfig
+    tikhonov: TikhonovConfig
 
     def __post_init__(self):
         r = self.data_grid_refinement
@@ -125,7 +125,7 @@ class ExperimentPreset:
                 f"data_points must be >= grid_m + 1 = {self.solver_grid[0] + 1}, "
                 f"got {self.data_points}"
             )
-        if self.mollify and (self.noise is None or self.noise.level <= 0.0):
+        if self.mollify and self.noise is None:
             # nothing to denoise: a run would skip the step yet record mollify=true
             raise ConfigurationError("mollify needs a noise level > 0")
         lam, ceiling = self.tikhonov.lam, self.tikhonov.resolved_lambda_max(k)
@@ -139,13 +139,15 @@ class ExperimentPreset:
             )
 
 
+_EXACT = dict(solver_grid=(100, 100), noise_level=0.0, max_iter=3)
+_NOISY = dict(solver_grid=(20, 80), noise_level=0.01, max_iter=5)
 _PRESET_TABLE = {
-    "ex1a": dict(horizon=1.0, q_true=drift_sine, solver_grid=(100, 100), noisy=False),
-    "ex1b": dict(horizon=1.0, q_true=drift_parabolic_join, solver_grid=(100, 100), noisy=False),
-    "ex2c": dict(horizon=0.5, q_true=drift_hat, solver_grid=(100, 100), noisy=False),
-    "ex2d": dict(horizon=0.5, q_true=drift_sawtooth, solver_grid=(100, 100), noisy=False),
-    "ex3e": dict(horizon=1.0, q_true=drift_staircase, solver_grid=(20, 80), noisy=True),
-    "ex3f": dict(horizon=1.0, q_true=drift_plateau_ramp, solver_grid=(20, 80), noisy=True),
+    "ex1a": dict(horizon=1.0, q_true=drift_sine, **_EXACT),
+    "ex1b": dict(horizon=1.0, q_true=drift_parabolic_join, **_EXACT),
+    "ex2c": dict(horizon=0.5, q_true=drift_hat, **_EXACT),
+    "ex2d": dict(horizon=0.5, q_true=drift_sawtooth, **_EXACT),
+    "ex3e": dict(horizon=1.0, q_true=drift_staircase, **_NOISY),
+    "ex3f": dict(horizon=1.0, q_true=drift_plateau_ramp, **_NOISY),
 }
 
 
@@ -163,37 +165,28 @@ def make_preset(
     tol_step: float | None = None,
     lam: float | None = None,
 ) -> ExperimentPreset:
-    """Build a named preset, optionally overriding individual fields."""
+    """Build a named preset, optionally overriding individual fields.
+
+    This is where every run default lives; a noise level of 0 means no noise.
+    """
     if name not in _PRESET_TABLE:
         raise ConfigurationError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
         )
     base = _PRESET_TABLE[name]
     m, n = base["solver_grid"]
-    m = grid_m if grid_m is not None else m
-    n = grid_n if grid_n is not None else n
-
-    if base["noisy"]:
-        level = noise_level if noise_level is not None else 0.01
-        iteration = IterationConfig(max_iter=max_iter if max_iter is not None else 5,
-                                    tol_step=tol_step if tol_step is not None else 1e-4)
-    else:
-        level = noise_level if noise_level is not None else 0.0
-        iteration = IterationConfig(max_iter=max_iter if max_iter is not None else 3,
-                                    tol_step=tol_step if tol_step is not None else 1e-4)
-    do_mollify = mollify if mollify is not None else level > 0.0
-
-    noise = NoiseSpec(level=level, seed=seed if seed is not None else 7) if level != 0.0 else None
+    level = base["noise_level"] if noise_level is None else noise_level
     return ExperimentPreset(
         name=name,
         spec=_reference_spec(base["horizon"]),
         q_true=base["q_true"],
-        solver_grid=(m, n),
-        data_grid_refinement=refinement if refinement is not None else 4,
-        data_points=data_points if data_points is not None else 10001,
-        noise=noise,
-        mollify=do_mollify,
-        iteration=iteration,
+        solver_grid=(m if grid_m is None else grid_m, n if grid_n is None else grid_n),
+        data_grid_refinement=4 if refinement is None else refinement,
+        data_points=10001 if data_points is None else data_points,
+        noise=NoiseSpec(level=level, seed=7 if seed is None else seed) if level != 0.0 else None,
+        mollify=level > 0.0 if mollify is None else mollify,
+        iteration=IterationConfig(max_iter=base["max_iter"] if max_iter is None else max_iter,
+                                  tol_step=1e-4 if tol_step is None else tol_step),
         tikhonov=TikhonovConfig(lam=lam),
     )
 
@@ -213,7 +206,6 @@ class ResultBundle:
     q_recovered: GridFunction | None
     trace: IterationTrace | None
     metrics: dict | None
-    data_x: np.ndarray
     g_exact: np.ndarray
     g_noisy: np.ndarray
     g_mollified: np.ndarray
@@ -222,11 +214,12 @@ class ResultBundle:
     provenance: dict
 
 
-def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray]:
     """Forward-solve on the refined grid and sample onto the data grid.
 
-    Returns (x_data, exact samples, measured samples); the measurement
-    equals the exact samples when the preset carries no noise.
+    Returns (exact samples, measured samples) at `preset.data_points`
+    uniform points on [0, 1]; the measurement equals the exact samples
+    when the preset carries no noise.
     """
     m, n = preset.solver_grid
     r = preset.data_grid_refinement
@@ -241,7 +234,7 @@ def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray, np.nda
         g_measured = add_noise(g_exact, preset.noise)
     else:
         g_measured = g_exact.copy()
-    return x_data, g_exact, g_measured
+    return g_exact, g_measured
 
 
 def mollify_data(
@@ -255,7 +248,7 @@ def mollify_data(
     residual, sigma and the discrepancy target.  A preset without noise
     has nothing to mollify and is rejected.
     """
-    if preset.noise is None or preset.noise.level <= 0.0:
+    if preset.noise is None:
         raise ConfigurationError("mollify_data needs a preset with a noise level > 0")
     spec = preset.spec
     n_pts = preset.data_points
@@ -297,7 +290,7 @@ def run_experiment(
     grids = build_grids(m, n, spec.horizon)
     q_true_grid = GridFunction.sample(grids.space, preset.q_true)
 
-    x_data, g_exact, g_measured = synthesize(preset)
+    g_exact, g_measured = synthesize(preset)
 
     if preset.mollify:
         g_star, mollification = mollify_data(preset, g_exact, g_measured)
@@ -349,7 +342,6 @@ def run_experiment(
         q_recovered=q_rec,
         trace=trace,
         metrics=metrics,
-        data_x=x_data,
         g_exact=g_exact,
         g_noisy=g_measured,
         g_mollified=np.asarray(g_star, dtype=float),

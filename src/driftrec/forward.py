@@ -121,9 +121,6 @@ class FinalLevels:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def final_time(self) -> GridFunction:
-        return GridFunction(self.grids.space, self.values[-1])
-
 
 def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[np.ndarray]:
     """Yield the levels u^0, u^1, ..., u^N of the implicit scheme.

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DataQualityError, DivergenceError, NumericalError
 from .forward import final_time_derivative, solve_forward
-from .model import GridFunction, GridPair, ProblemSpec, apply_stencil, sample_on
+from .model import GridFunction, GridPair, ProblemSpec, centered_first, centered_second, sample_on
 
 # The data slope g' is floored at this fraction of its largest interior value before
 # any division, so noisy data cannot produce near-zero or negative denominators.
@@ -34,8 +34,8 @@ _DENOM_FLOOR = 1e-3
 class IterationConfig:
     """Knobs of the fixed-point loop."""
 
-    max_iter: int = 20
-    tol_step: float = 1e-4
+    max_iter: int
+    tol_step: float
 
     def __post_init__(self):
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
@@ -86,7 +86,7 @@ def data_terms(data: GridFunction, spec: ProblemSpec) -> tuple[GridFunction, np.
     needs mollification first.
     """
     grid = data.grid
-    slope = apply_stencil("centered_first", data).values[1:-1]
+    slope = centered_first(data.values, grid.h)
     scale = float(np.max(slope))
     if scale <= 0.0:
         # fully non-monotone data: keep the floor positive anyway
@@ -103,7 +103,7 @@ def data_terms(data: GridFunction, spec: ProblemSpec) -> tuple[GridFunction, np.
             "the data is too rough to differentiate - mollify it first"
         )
 
-    curvature = apply_stencil("centered_second", data).values[1:-1]
+    curvature = centered_second(data.values, grid.h)
     f_int = sample_on(spec.source, grid.nodes[1:-1])
     q_int = (f_int + curvature - spec.potential * data.values[1:-1]) / slope
     return GridFunction(grid, _fill_boundaries(q_int)), slope, hits
@@ -137,7 +137,7 @@ def run_iteration(
     data: GridFunction,
     spec: ProblemSpec,
     grids: GridPair,
-    cfg: IterationConfig | None = None,
+    cfg: IterationConfig,
 ) -> tuple[GridFunction, IterationTrace]:
     """Iterate the update from the upper-bound guess until the step norm
     drops below `tol_step` or `max_iter` updates have been taken.
@@ -147,7 +147,6 @@ def run_iteration(
     full trace.  A non-finite iterate raises `DivergenceError` carrying the
     partial trace.
     """
-    cfg = cfg or IterationConfig()
     q0, slope, hits = data_terms(data, spec)
     q_cur = q0
     trace = IterationTrace(iterates=[q_cur], floor_hits=hits)

@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-STENCIL_KINDS = ("centered_first", "centered_second")
-
 # Uniform grid on which `validate_assumptions` samples its sup norms.
 _AUDIT_POINTS = 1001
 
@@ -155,30 +153,17 @@ class GridFunction:
         return cls(grid, sample_on(fn, grid.nodes))
 
 
-def _centered_first(v: np.ndarray, h: float) -> np.ndarray:
+# The two centered differences of the discrete scheme, on node values of spacing h;
+# its time and flux rows live in the step matrix (`forward.assemble_step_matrix`).
+
+def centered_first(v: np.ndarray, h: float) -> np.ndarray:
     """(v_{i+1} - v_{i-1}) / (2h) at every interior point of spacing-h samples."""
     return (v[2:] - v[:-2]) / (2.0 * h)
 
 
-def apply_stencil(kind: str, u: GridFunction) -> GridFunction:
-    """Apply one of the two centered differences of the discrete scheme.
-
-    centered_first   (u_{i+1}-u_{i-1})/(2h) interior, zero at boundaries
-    centered_second  (u_{i+1}-2u_i+u_{i-1})/h^2 interior, zero at boundaries
-
-    The time and flux rows of the scheme live in the step matrix
-    (`forward.assemble_step_matrix`).
-    """
-    v = u.values
-    h = u.grid.h
-    out = np.zeros_like(v)
-    if kind == "centered_first":
-        out[1:-1] = _centered_first(v, h)
-    elif kind == "centered_second":
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    else:
-        raise ConfigurationError(f"unknown stencil kind {kind!r}; expected one of {STENCIL_KINDS}")
-    return GridFunction(u.grid, out)
+def centered_second(v: np.ndarray, h: float) -> np.ndarray:
+    """(v_{i+1} - 2 v_i + v_{i-1}) / h^2 at every interior point of spacing-h samples."""
+    return (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +185,6 @@ class AssumptionReport:
     lower_bound_m: float
     notes: dict[str, str] = field(default_factory=dict)
 
-    def ok(self) -> bool:
-        return all(v == "pass" for v in self.clause_results.values())
-
     def as_dict(self) -> dict:
         return {
             "c1_bound": float(self.c1_bound),
@@ -216,21 +198,21 @@ class AssumptionReport:
 def validate_assumptions(
     spec: ProblemSpec,
     drift: GridFunction,
-    data: GridFunction | None = None,
+    data: GridFunction,
 ) -> AssumptionReport:
     """Measure the admissibility clauses with discrete norms.
 
     Norms are sampled sup norms with centered divided differences on a
     uniform audit grid; the drift is linearly interpolated onto that grid.
-    When final-time `data` is supplied, the minimum interior slope of the
-    data (the positive lower bound the theory requires) is recorded too.
+    The minimum interior slope of the final-time `data` (the positive lower
+    bound the theory requires) is recorded too.
     """
     xa = np.linspace(0.0, 1.0, _AUDIT_POINTS)
     ha = xa[1] - xa[0]
 
     qa = np.interp(xa, drift.grid.nodes, drift.values)
     dqa = np.empty_like(qa)
-    dqa[1:-1] = _centered_first(qa, ha)
+    dqa[1:-1] = centered_first(qa, ha)
     dqa[0] = (qa[1] - qa[0]) / ha
     dqa[-1] = (qa[-1] - qa[-2]) / ha
     c1_bound = float(np.max(np.abs(qa)) + np.max(np.abs(dqa)))
@@ -238,17 +220,17 @@ def validate_assumptions(
     # v and its centered divided differences of order 1..3
     v_diffs = [sample_on(spec.initial, xa)]
     for _ in range(3):
-        v_diffs.append(_centered_first(v_diffs[-1], ha))
+        v_diffs.append(centered_first(v_diffs[-1], ha))
     c_v = max(float(np.max(np.abs(d))) for d in v_diffs)
     v_prime = v_diffs[1]
 
     fa = sample_on(spec.source, xa)
-    f_prime = _centered_first(fa, ha)
+    f_prime = centered_first(fa, ha)
 
     T = spec.horizon
     ta = np.linspace(T / _AUDIT_POINTS, T, _AUDIT_POINTS)
     b2a = sample_on(spec.right_flux, ta)
-    b2_prime = _centered_first(b2a, ta[1] - ta[0])
+    b2_prime = centered_first(b2a, ta[1] - ta[0])
 
     results: dict[str, str] = {}
     notes: dict[str, str] = {}
@@ -279,15 +261,10 @@ def validate_assumptions(
         f"min f' = {np.min(f_prime):.6g} vs {bound_fp:.6g}"
     )
 
-    if data is not None:
-        lower_bound_m = float(np.min(apply_stencil("centered_first", data).values[1:-1]))
-    else:
-        lower_bound_m = float("nan")
-
     return AssumptionReport(
         c1_bound=c1_bound,
         c_v=c_v,
         clause_results=results,
-        lower_bound_m=lower_bound_m,
+        lower_bound_m=float(np.min(centered_first(data.values, data.grid.h))),
         notes=notes,
     )

@@ -54,14 +54,17 @@ _GRID_POINTS = 8
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Seeded Gaussian measurement noise, relative to the data sup norm."""
+    """Seeded Gaussian measurement noise, relative to the data sup norm.
+
+    The level is > 0: a run without noise carries no NoiseSpec at all.
+    """
 
     level: float
-    seed: int = 7
+    seed: int
 
     def __post_init__(self):
-        if not (self.level >= 0.0 and np.isfinite(self.level)):
-            raise ConfigurationError(f"noise level must be finite and >= 0, got {self.level!r}")
+        if not (self.level > 0.0 and np.isfinite(self.level)):
+            raise ConfigurationError(f"noise level must be finite and > 0, got {self.level!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigurationError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
@@ -76,7 +79,7 @@ class TikhonovConfig:
     `ExperimentPreset` rejects a fixed `lam` above the ceiling.
     """
 
-    lam: float | None = None
+    lam: float | None
 
     def __post_init__(self):
         if self.lam is not None and not (self.lam > 0.0 and np.isfinite(self.lam)):
@@ -104,8 +107,6 @@ def add_noise(g_exact: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     g = np.asarray(g_exact, dtype=float)
     if g.size < 3:
         raise ConfigurationError(f"need at least 3 data points, got {g.size}")
-    if noise.level == 0.0:
-        return g.copy()
     rng = np.random.default_rng(noise.seed)
     return g + noise_sigma(g, noise) * rng.standard_normal(g.shape)
 

@@ -11,6 +11,7 @@ import pytest
 
 import driftrec as dr
 from driftrec.cli import main
+from driftrec.model import centered_first
 
 
 def _constant(c):
@@ -80,11 +81,11 @@ def test_criterion_3_discrete_positivity(ex1_setup):
     start = time.perf_counter()
     grids = ex1_setup["grids"]
     field = dr.solve_forward(ex1_setup["spec"], ex1_setup["q_true"], grids)
-    slope = dr.apply_stencil("centered_first", field.final_time())
-    assert np.all(slope.values[1:-1] > 0.0)
+    slope = centered_first(field.values[-1], grids.space.h)
+    assert np.all(slope > 0.0)
     u_t = dr.final_time_derivative(field)
     assert np.min(u_t.values) >= -1e-8
-    _report(3, f"min slope {np.min(slope.values[1:-1]):.3f}, min u_t {np.min(u_t.values):.3e}",
+    _report(3, f"min slope {np.min(slope):.3f}, min u_t {np.min(u_t.values):.3e}",
             time.perf_counter() - start, 2.0)
 
 

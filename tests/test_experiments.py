@@ -61,6 +61,18 @@ class TestPresets:
             assert p.noise is not None and p.noise.level == 0.01 and p.noise.seed == 7
             assert p.mollify
 
+    @pytest.mark.parametrize("name", dr.PRESET_NAMES)
+    def test_defaults(self, name):
+        p = dr.make_preset(name)
+        noisy = name.startswith("ex3")
+        assert p.data_grid_refinement == 4 and p.data_points == 10001
+        assert p.iteration.max_iter == (5 if noisy else 3) and p.iteration.tol_step == 1e-4
+        if noisy:
+            assert p.noise == dr.NoiseSpec(level=0.01, seed=7) and p.mollify
+        else:
+            assert p.noise is None and not p.mollify
+        assert p.tikhonov.lam is None
+
     def test_overrides(self):
         p = dr.make_preset("ex3e", noise_level=0.03, seed=11, mollify=False,
                            grid_m=40, grid_n=60, refinement=2, data_points=501,
@@ -117,13 +129,13 @@ class TestPresets:
 
 class TestGenerateData:
     def test_deterministic(self):
-        a = dr.synthesize(dr.make_preset("ex3e"))[2]
-        b = dr.synthesize(dr.make_preset("ex3e"))[2]
+        a = dr.synthesize(dr.make_preset("ex3e"))[1]
+        b = dr.synthesize(dr.make_preset("ex3e"))[1]
         assert np.array_equal(a, b)
 
     def test_exact_data_has_positive_slope(self):
         preset = dr.make_preset("ex1a", data_points=2001)
-        g = dr.synthesize(preset)[2]
+        g = dr.synthesize(preset)[1]
         h = 1.0 / (g.size - 1)
         slope = (g[2:] - g[:-2]) / (2.0 * h)
         assert np.all(slope > 0.0)
@@ -149,7 +161,7 @@ class TestGenerateData:
 class TestMollifyData:
     def test_fixed_lambda_records_sigma_and_target(self):
         preset = dr.make_preset("ex3e", data_points=2001, lam=1e24)
-        _, g_exact, g_measured = dr.synthesize(preset)
+        g_exact, g_measured = dr.synthesize(preset)
         g_star, record = dr.mollify_data(preset, g_exact, g_measured)
         assert record["mode"] == "fixed" and record["lambda"] == 1e24
         assert record["sigma_abs"] == dr.noise_sigma(g_exact, preset.noise)
@@ -158,7 +170,7 @@ class TestMollifyData:
 
     def test_discrepancy_search_without_noise_rejected(self):
         preset = dr.make_preset("ex1a", data_points=1001)
-        _, g_exact, g_measured = dr.synthesize(preset)
+        g_exact, g_measured = dr.synthesize(preset)
         with pytest.raises(ConfigurationError, match="noise level > 0"):
             dr.mollify_data(preset, g_exact, g_measured)
 

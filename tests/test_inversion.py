@@ -137,17 +137,18 @@ class TestRunIteration:
 
         monkeypatch.setattr("driftrec.inversion.solve_forward", explode)
         with pytest.raises(DivergenceError) as info:
-            dr.run_iteration(setup["data"], setup["spec"], setup["grids"])
+            dr.run_iteration(setup["data"], setup["spec"], setup["grids"],
+                             dr.IterationConfig(max_iter=3, tol_step=1e-4))
         assert info.value.trace is not None
         assert len(info.value.trace.iterates) == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="max_iter"):
-            dr.IterationConfig(max_iter=0)
+            dr.IterationConfig(max_iter=0, tol_step=1e-4)
         with pytest.raises(ConfigurationError, match="max_iter must be an integer"):
-            dr.IterationConfig(max_iter=2.5)
+            dr.IterationConfig(max_iter=2.5, tol_step=1e-4)
         with pytest.raises(ConfigurationError, match="tol_step"):
-            dr.IterationConfig(tol_step=0.0)
+            dr.IterationConfig(max_iter=3, tol_step=0.0)
 
 
 class TestErrorMetrics:

@@ -81,7 +81,7 @@ def _scan_ended_at_third_point(monkeypatch, caplog, failed_solve):
 @pytest.fixture(scope="module")
 def ex3e_noisy_setup():
     preset = dr.make_preset("ex3e", noise_level=0.01, seed=7)
-    x, g_exact, g_noisy = dr.synthesize(preset)
+    g_exact, g_noisy = dr.synthesize(preset)
     n = preset.data_points
     design = dr.build_design_matrix(n)
     penalty = dr.build_regularization_matrix(n)
@@ -93,11 +93,10 @@ def ex3e_noisy_setup():
 
 
 class TestNoise:
-    def test_zero_level_is_bitwise_copy(self):
-        g = np.array([1.1, -2.2, 3.3, 0.0, -0.0])
-        out = dr.add_noise(g, dr.NoiseSpec(level=0.0, seed=1))
-        assert np.array_equal(out, g)
-        assert np.array_equal(np.signbit(out), np.signbit(g))
+    def test_zero_level_rejected(self):
+        # "no noise" is a preset without a NoiseSpec, never a level of 0
+        with pytest.raises(ConfigurationError, match="level must be finite and > 0"):
+            dr.NoiseSpec(level=0.0, seed=1)
 
     def test_same_seed_same_draw(self):
         g = np.linspace(0.0, 2.0, 100)
@@ -117,7 +116,7 @@ class TestNoise:
 
     def test_negative_level_rejected(self):
         with pytest.raises(ConfigurationError, match="level"):
-            dr.NoiseSpec(level=-0.1)
+            dr.NoiseSpec(level=-0.1, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, 7.0])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
@@ -423,7 +422,7 @@ class TestSelectLambda:
 
             monkeypatch.setattr(mollify, name, counted)
         preset = dr.make_preset("ex3e")
-        _, g_exact, g_measured = dr.synthesize(preset)
+        g_exact, g_measured = dr.synthesize(preset)
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
             _, record = dr.mollify_data(preset, g_exact, g_measured)
         assert record["mode"] == "discrepancy"
