@@ -66,6 +66,18 @@ def _overrides(args) -> dict:
     return {key: value for key, value in vars(args).items() if key in dests}
 
 
+def _preset_from_args(args, **fixed):
+    """The named preset with the command line's overrides.  A --seed for a run
+    without noise is rejected rather than dropped (`suite` applies it to its
+    noisy presets only)."""
+    overrides = _overrides(args)
+    preset = make_preset(args.preset, **fixed, **overrides)
+    if "seed" in overrides and preset.noise is None:
+        raise ConfigurationError(f"--seed {overrides['seed']} has no effect: this run of "
+                                 f"{preset.name!r} has no noise (give --noise > 0)")
+    return preset
+
+
 def _formats_from_args(args) -> tuple[str, ...]:
     fmts = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     for f in fmts:
@@ -75,7 +87,7 @@ def _formats_from_args(args) -> tuple[str, ...]:
 
 
 def cmd_forward(args) -> int:
-    preset = make_preset(args.preset, **_overrides(args))
+    preset = _preset_from_args(args)
     m, n = preset.solver_grid
     grids = build_grids(m, n, preset.spec.horizon)
     q_true = GridFunction.sample(grids.space, preset.q_true)
@@ -93,7 +105,7 @@ def cmd_forward(args) -> int:
 
 
 def cmd_mollify(args) -> int:
-    preset = make_preset(args.preset, mollify=True, **_overrides(args))
+    preset = _preset_from_args(args, mollify=True)
     g_exact, g_measured = synthesize(preset)
     g_star, record = mollify_data(preset, g_exact, g_measured)
     err_before = float(np.linalg.norm(g_measured - g_exact))
@@ -130,15 +142,13 @@ def _report_bundle(bundle) -> int:
 
 
 def cmd_invert(args) -> int:
-    bundle = run_experiment(make_preset(args.preset, **_overrides(args)), args.out,
-                            _formats_from_args(args))
+    bundle = run_experiment(_preset_from_args(args), args.out, _formats_from_args(args))
     return _report_bundle(bundle)
 
 
 def cmd_experiment(args) -> int:
     out = args.out if args.out is not None else Path("runs") / args.preset
-    bundle = run_experiment(make_preset(args.preset, **_overrides(args)), out,
-                            _formats_from_args(args))
+    bundle = run_experiment(_preset_from_args(args), out, _formats_from_args(args))
     code = _report_bundle(bundle)
     print(f"outputs in {out}")
     return code

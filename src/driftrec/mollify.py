@@ -14,8 +14,10 @@ positive definite, so the solve is O(K) however large the data grid is.
 Only lambda changes while the discrepancy principle searches for it, so
 the bands of A^T A and R^T R and A^T g~ are built once per run and each
 lambda costs one O(K) banded Cholesky solve (LAPACK dpbsv).  An 8-point
-scan and a log-lambda bisection to a 5 % bracket take at most 17 solves;
-the residual jitters by 1-2 % near the crossing, ruling out secant steps.
+scan from the ceiling down and a log-lambda bisection to a 5 % bracket take
+2 + 9 solves on the paper presets, where lambda lies in the top scan
+interval, and at most 8 + 9; the residual jitters by 1-2 % near the
+crossing, ruling out secant steps.
 The search returns its own solve at the chosen lambda, which is the
 mollified data, so nothing is solved twice.
 """
@@ -46,7 +48,7 @@ _BRACKET_RATIO = 1.05
 _BLOWUP_RATIO = 1e6
 
 # The discrepancy search: target _SAFETY * sqrt(K) * sigma (Morozov's tau), and a
-# geometric scan of _GRID_POINTS values from _LAMBDA_MIN up to the ceiling.
+# geometric scan of _GRID_POINTS values between _LAMBDA_MIN and the ceiling.
 _SAFETY = 1.01
 _LAMBDA_MIN = 1e-12
 _GRID_POINTS = 8
@@ -218,20 +220,29 @@ def select_lambda(
     """Discrepancy-principle search for the penalty weight.
 
     Finds a lambda whose fit residual ||A g - g~|| reaches
-    `TikhonovConfig.discrepancy_target(K, sigma_abs)`: an 8-point geometric
-    scan from 1e-12 up to `TikhonovConfig.resolved_lambda_max(K)` brackets
-    the crossing, then log-lambda bisection shrinks the bracket to
-    hi/lo <= 1.05, at most 8 + 9 solves.  Not Newton or regula falsi: near
-    the crossing cond(A^T A + lambda R^T R) ~ 1e14 makes the residual
-    jitter by 1-2 % and lose monotonicity.  Returns (lambda, g): g is the
-    search's own solve at that lambda, so the mollified data costs no
-    solve beyond the search.  If even the largest lambda falls short,
-    lambda_min = 1e-12 is returned with a warning, and one more solve at
-    lambda_min, without the blow-up check, gives g; it raises
+    `TikhonovConfig.discrepancy_target(K, sigma_abs)`.  The 8 geometric
+    values from 1e-12 to `TikhonovConfig.resolved_lambda_max(K)` are
+    scanned from the ceiling down: a point that reaches the target becomes
+    hi, and the first point below it that falls short becomes lo and ends
+    the scan.  The residual is nondecreasing in lambda and the points are
+    far apart (10^6 at K = 10001), so this is the bracket an ascending scan
+    finds.  Log-lambda bisection then shrinks it to hi/lo <= 1.05: 2 + 9
+    solves on the paper presets, whose lambda lies in the top interval, and
+    at most 8 + 9.  Not Newton or regula falsi: near the crossing
+    cond(A^T A + lambda R^T R) ~ 1e14 makes the residual jitter by 1-2 %
+    and lose monotonicity.  Returns (lambda, g): g is the search's own
+    solve at that lambda, so the mollified data costs no solve beyond the
+    search.  If even the ceiling falls short, lambda_min = 1e-12 is
+    returned with a warning after 1 + 1 solves: the scan's one, and one at
+    lambda_min, without the blow-up check, that gives g; it raises
     `IllPosedError` if lambda_min cannot be factored.
-    A solve that fails on conditioning ends the scan or the bisection: one
-    whose normal equations are not positive definite, or whose solution
-    exceeds 1e6 times ||g~||_inf.  The search path is logged at DEBUG.
+    A solve fails on conditioning when its normal equations are not
+    positive definite or its solution exceeds 1e6 times ||g~||_inf.  The
+    scan passes over a failure above every reaching point and falls back to
+    lambda_min at a failure below one, as an ascending scan that stops at
+    its first failure would; a failure ends the bisection.  The search path
+    is logged at DEBUG; in the fallback the scan bracket is (lo, None), lo
+    being the point that fell short, if any.
     """
     fit, pen, rhs = normal_equations(design, penalty, g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
@@ -257,14 +268,17 @@ def select_lambda(
     lam_max = TikhonovConfig.resolved_lambda_max(n)
     lo = hi = None
     n_bisect = 0
-    for n_grid, lam in enumerate(np.geomspace(_LAMBDA_MIN, lam_max, _GRID_POINTS), 1):
+    for n_grid, lam in enumerate(np.geomspace(_LAMBDA_MIN, lam_max, _GRID_POINTS)[::-1], 1):
         try:
-            if reached(float(lam)):
-                hi = float(lam)
+            if not reached(float(lam)):
+                lo = float(lam)
                 break
         except IllPosedError:
-            break  # conditioning limit: treat as the end of the scan
-        lo = float(lam)
+            if hi is None:
+                continue  # above every reaching point: an ascending scan stops below it
+            hi = None  # below a reaching point: an ascending scan stops here and falls back
+            break
+        hi = float(lam)
     bracket = (lo, hi)
     if hi is None:
         warnings.warn(

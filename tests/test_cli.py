@@ -26,6 +26,17 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "needs a run that mollifies its data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["invert", "ex1a", "--data-points", "1001", "--seed", "11"],
+        ["experiment", "ex1a", "--data-points", "1001", "--seed", "11"],
+        ["invert", "ex3e", "--data-points", "2001", "--noise", "0", "--seed", "11"],
+    ])
+    def test_seed_without_noise(self, argv, tmp_path, capsys):
+        # the seed would be dropped: trace.json would record "seed": null
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "--seed 11 has no effect" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_format(self, capsys):
         assert main(["experiment", "ex1a", "--formats", "csv,pdf"]) == 2
 
@@ -112,3 +123,5 @@ class TestCommands:
             provenance = json.loads((tmp_path / name / "trace.json").read_text())["provenance"]
             assert provenance["data_points"] == 1001
         assert json.loads((tmp_path / "ex3e" / "trace.json").read_text())["provenance"]["seed"] == 5
+        # the exact presets run without noise and take no seed, as before
+        assert json.loads((tmp_path / "ex1a" / "trace.json").read_text())["provenance"]["seed"] is None

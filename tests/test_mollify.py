@@ -61,9 +61,10 @@ def _bisection_ended_at_first_solve(s, monkeypatch, caplog, failed_solve):
     assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
 
-def _scan_ended_at_third_point(monkeypatch, caplog, failed_solve):
+def _scan_failing_from_third_point(monkeypatch, caplog, failed_solve):
     # noise far above the data scale: unpatched, all 8 scan points solve and
-    # fall short, so only the failed solve stops the scan early
+    # fall short.  The scan passes over the six failed solves from the ceiling
+    # down, and the second point falls short and ends it in the fallback
     n = 21
     g_tilde = np.linspace(0.0, 1e-3, n)
     design = dr.build_design_matrix(n)
@@ -74,7 +75,7 @@ def _scan_ended_at_third_point(monkeypatch, caplog, failed_solve):
         with pytest.warns(UserWarning, match="returning lambda_min"):
             lam, g_star = dr.select_lambda(design, penalty, g_tilde, 10.0)
     assert lam == 1e-12
-    assert _search_counts(caplog) == (3, 0)
+    assert _search_counts(caplog) == (7, 0)
     assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
 
 
@@ -345,11 +346,11 @@ class TestSelectLambda:
         assert f"lambda {lam!r}, residual {residual!r}" in message and "target" in message
 
     def test_factorization_failure_ends_scan(self, monkeypatch, caplog):
-        _scan_ended_at_third_point(monkeypatch, caplog, _not_positive_definite)
+        _scan_failing_from_third_point(monkeypatch, caplog, _not_positive_definite)
 
     def test_near_singular_solve_not_accepted(self, monkeypatch, caplog):
         # a blown-up solve would "reach" the target on its rounding residual
-        _scan_ended_at_third_point(monkeypatch, caplog, _blown_up)
+        _scan_failing_from_third_point(monkeypatch, caplog, _blown_up)
 
     def test_factorization_failure_ends_bisection(self, ex3e_noisy_setup, monkeypatch, caplog):
         _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog,
@@ -365,7 +366,8 @@ class TestSelectLambda:
         message = caplog.records[0].getMessage()
         n_grid, n_bisect = _search_counts(caplog)
         lo, hi = map(float, re.search(r"final bracket \(([^,]+), ([^)]+)\)", message).groups())
-        assert n_grid + n_bisect <= 17
+        # lambda lies in the top scan interval: the ceiling and the point below it
+        assert (n_grid, n_bisect) == (2, 9)
         assert hi == lam and hi / lo <= 1.05
         target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
         assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
@@ -380,7 +382,7 @@ class TestSelectLambda:
             with pytest.warns(UserWarning, match="no lambda in .* reaches .*returning lambda_min"):
                 lam, _ = dr.select_lambda(design, penalty, g, 10.0)
         assert lam == 1e-12
-        assert _search_counts(caplog) == (8, 0)
+        assert _search_counts(caplog) == (1, 0)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
@@ -400,6 +402,88 @@ class TestSelectLambda:
             lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
         assert lam == expected_lam
         assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
+           log_noise=st.floats(-8.0, 2.0))
+    def test_descending_scan_matches_ascending_oracle(self, tikhonov_reference, n, seed,
+                                                      log_noise):
+        # noise log-uniform over ten decades of the data's scale: at K <= 200 the
+        # crossing lands in the 2nd to 6th of the 7 scan intervals or past the
+        # ceiling; the next test places it in each interval by construction
+        _, reference_search = tikhonov_reference
+        design = dr.build_design_matrix(n)
+        penalty = dr.build_regularization_matrix(n)
+        g_tilde = np.random.default_rng(seed).standard_normal(n)
+        sigma = 10.0 ** log_noise * np.max(np.abs(g_tilde))
+        expected_lam = reference_search(design, penalty, g_tilde, sigma)
+        with (pytest.warns(UserWarning, match="returning lambda_min") if expected_lam == 1e-12
+              else contextlib.nullcontext()):
+            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+        assert lam == expected_lam
+        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
+           interval=st.integers(0, 7), where=st.floats(0.01, 0.99))
+    def test_descending_scan_finds_each_interval(self, tikhonov_reference, n, seed,
+                                                 interval, where):
+        # the target sits inside scan interval `interval` (7: past the ceiling),
+        # placed between the oracle's residuals at the grid points around it
+        reference_solve, reference_search = tikhonov_reference
+        design = dr.build_design_matrix(n)
+        penalty = dr.build_regularization_matrix(n)
+        g_tilde = np.random.default_rng(seed).standard_normal(n)
+        grid = _scan_grid(n)
+        residuals = [np.linalg.norm(design @ reference_solve(design, penalty, g_tilde, lam)
+                                    - g_tilde) for lam in grid]
+        if interval < 7:
+            target = residuals[interval] + where * (residuals[interval + 1] - residuals[interval])
+        else:
+            target = (1.0 + where) * residuals[7]
+        sigma = target / (1.01 * np.sqrt(n))
+        expected_lam = reference_search(design, penalty, g_tilde, sigma)
+        with (pytest.warns(UserWarning, match="returning lambda_min") if interval == 7
+              else contextlib.nullcontext()):
+            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+        assert lam == expected_lam
+        assert lam == 1e-12 if interval == 7 else grid[interval] < lam <= grid[interval + 1]
+        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+
+    def test_failed_ceiling_passed_over(self, tikhonov_reference, monkeypatch, caplog):
+        # noise at 0.1 of the data's scale crosses between the 4th and 5th scan
+        # points, so an ascending scan never solves at the ceiling and a ceiling
+        # that fails to factor must change nothing
+        _, reference_search = tikhonov_reference
+        n = 21
+        design = dr.build_design_matrix(n)
+        penalty = dr.build_regularization_matrix(n)
+        g_tilde = np.random.default_rng(3).standard_normal(n)
+        sigma = 0.1 * np.max(np.abs(g_tilde))
+        grid = _scan_grid(n)
+        _fail_solves(monkeypatch, _not_positive_definite, lambda lam: lam == grid[-1])
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+        assert _search_counts(caplog)[0] == 5  # the failed ceiling, three that reach, grid[3]
+        assert grid[3] < lam <= grid[4]
+        assert lam == reference_search(design, penalty, g_tilde, sigma)
+        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+
+    def test_failure_below_a_reaching_point_falls_back(self, ex3e_noisy_setup, monkeypatch,
+                                                       caplog):
+        # the ceiling reaches the target, the point below it fails: an ascending
+        # scan stops at that failure and falls back to lambda_min
+        s = ex3e_noisy_setup
+        below_ceiling = _scan_grid(s["g_tilde"].size)[-2]
+        _fail_solves(monkeypatch, _not_positive_definite, lambda lam: lam == below_ceiling)
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            with pytest.warns(UserWarning, match="returning lambda_min"):
+                lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
+                                               s["sigma"])
+        assert lam == 1e-12
+        assert _search_counts(caplog) == (2, 0)
+        assert np.array_equal(g_star, dr.solve_tikhonov(s["design"], s["penalty"],
+                                                        s["g_tilde"], lam))
 
     def test_fallback_solve_failure_raises(self, monkeypatch):
         n = 21
