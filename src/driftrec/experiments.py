@@ -39,6 +39,7 @@ from .mollify import (
     assemble_rhs,
     build_design_matrix,
     build_regularization_matrix,
+    fit_residual,
     noise_sigma,
     restrict,
     select_lambda,
@@ -252,20 +253,19 @@ def mollify_data(
         raise ConfigurationError("mollify_data needs a preset with a noise level > 0")
     spec = preset.spec
     n_pts = preset.data_points
-    design = build_design_matrix(n_pts)
-    penalty = build_regularization_matrix(n_pts)
     h_data = 1.0 / (n_pts - 1)
     g_tilde = assemble_rhs(g_measured, spec.left_flux, float(spec.right_flux(spec.horizon)), h_data)
     sigma_abs = noise_sigma(g_exact, preset.noise)
     lam = preset.tikhonov.lam
     if lam is None:
-        lam, g_star = select_lambda(design, penalty, g_tilde, sigma_abs)
+        lam, g_star = select_lambda(g_tilde, sigma_abs)
     else:
-        g_star = solve_tikhonov(design, penalty, g_tilde, lam)
+        g_star = solve_tikhonov(build_design_matrix(n_pts), build_regularization_matrix(n_pts),
+                                g_tilde, lam)
     record = {
         "lambda": float(lam),
         "mode": "fixed" if preset.tikhonov.lam is not None else "discrepancy",
-        "residual": float(np.linalg.norm(design @ g_star - g_tilde)),
+        "residual": fit_residual(g_star, g_tilde),
         "target": preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
         "sigma_abs": sigma_abs,
         "data_points": int(n_pts),

@@ -12,14 +12,21 @@ last entries.  The normal equations are pentadiagonal and symmetric
 positive definite, so the solve is O(K) however large the data grid is.
 
 Only lambda changes while the discrepancy principle searches for it, so
-the bands of A^T A and R^T R and A^T g~ are built once per run and each
-lambda costs one O(K) banded Cholesky solve (LAPACK dpbsv).  An 8-point
-scan from the ceiling down and a log-lambda bisection to a 5 % bracket take
-2 + 9 solves on the paper presets, where lambda lies in the top scan
-interval, and at most 8 + 9; the residual jitters by 1-2 % near the
-crossing, ruling out secant steps.
-The search returns its own solve at the chosen lambda, which is the
-mollified data, so nothing is solved twice.
+`normal_bands(g~)` builds the bands of A^T A and R^T R and A^T g~ once per
+run, in closed form from K and g~ and in the Fortran order LAPACK reads;
+each lambda then costs one O(K) banded Cholesky solve (dpbsv) and the fit
+residual `fit_residual(g, g~)`, taken from A's definition.  No sparse
+matrix is formed on that path.  An 8-point scan from the ceiling down and
+a log-lambda bisection to a 5 % bracket take 2 + 9 solves on the paper
+presets, where lambda lies in the top scan interval, and at most 8 + 9;
+the residual jitters by 1-2 % near the crossing, ruling out secant steps.
+`select_lambda(g~, sigma)` returns its own solve at the chosen lambda,
+which is the mollified data, so nothing is solved twice.
+
+The sparse A and R (`build_design_matrix`, `build_regularization_matrix`),
+their products in `normal_equations` and the 4-argument `solve_tikhonov`
+remain for a fixed lambda and for the Tikhonov scaling sweep of the
+benchmark; `normal_bands` equals `normal_equations` on them bit for bit.
 """
 
 from __future__ import annotations
@@ -158,14 +165,11 @@ def normal_equations(
     penalty: scipy.sparse.spmatrix,
     g_tilde: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lambda-free parts of (A^T A + lambda R^T R) g = A^T g~.
+    """The lambda-free parts of (A^T A + lambda R^T R) g = A^T g~, formed
+    by sparse products of any design and penalty matrices.
 
-    Returns (fit, pen, rhs): the bands of A^T A and of R^T R, and
-    rhs = A^T g~.  The bands are in upper storage, the layout the banded
-    Cholesky solver expects: row 2 is the main diagonal, row 1 the first
-    superdiagonal (shifted right by one), row 0 the second (shifted by
-    two).  `fit + lam * pen` rounds each entry exactly as the sparse sum
-    A^T A + lam R^T R does, so a lambda search builds these once.
+    Returns (fit, pen, rhs) in the layout of `normal_bands`, which builds
+    the same arrays for the matrices of this module without the products.
     """
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = design.shape[0]
@@ -183,6 +187,61 @@ def _upper_bands(normal: scipy.sparse.spmatrix) -> np.ndarray:
     bands[1, 1:] = normal.diagonal(1)
     bands[0, 2:] = normal.diagonal(2)
     return bands
+
+
+def normal_bands(g_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lambda-free parts of (A^T A + lambda R^T R) g = A^T g~, in closed
+    form from K and g~.
+
+    Returns (fit, pen, rhs): the bands of A^T A and of R^T R in upper
+    storage, the layout the banded Cholesky solver expects (row 2 the main
+    diagonal, row 1 the first superdiagonal shifted right by one, row 0 the
+    second shifted by two), and rhs = A^T g~.  The bands are
+    Fortran-ordered, so `fit + lam * pen` reaches LAPACK without a copy.
+    Each entry is summed in the order of the sparse products, rows of A and
+    R ascending, so the arrays equal `normal_equations` on
+    `build_design_matrix(K)` and `build_regularization_matrix(K)` bit for
+    bit: with s = 1/(K-1)^2, p = s*s and q = (-2s)*(-2s), the main diagonal
+    of R^T R is (p + q) + p inside and q + p, p towards the ends.
+    """
+    g = np.asarray(g_tilde, dtype=float)
+    n = g.size
+    if n < 3:
+        raise ConfigurationError(f"normal equations need at least 3 data points, got {n}")
+    if not np.all(np.isfinite(g)):
+        raise ConfigurationError("fit target g_tilde must be finite")
+    # A: identity rows inside, first-difference rows (-1, 1) first and last
+    fit = np.zeros((3, n), order="F")
+    fit[2] = 1.0
+    fit[2, 1] += 1.0
+    fit[2, -2] += 1.0
+    fit[1, 1] = fit[1, -1] = -1.0
+    # R: rows (s, -2s, s); penalty row i adds (p, q, p) to the diagonal at i, i+1, i+2
+    s = 1.0 / (n - 1) ** 2
+    p = s * s
+    q = (-2.0 * s) * (-2.0 * s)
+    pen = np.zeros((3, n), order="F")
+    pen[2, 2:] += p
+    pen[2, 1:-1] += q
+    pen[2, :-2] += p
+    pen[1, 2:] += s * (-2.0 * s)
+    pen[1, 1:-1] += s * (-2.0 * s)
+    pen[0, 2:] = p
+    # A^T g~, accumulated from 0 row by row as the sparse product does (0 + -0.0 is 0.0)
+    rhs = g + 0.0
+    rhs[0] = 0.0 - g[0]
+    rhs[1] = (0.0 + g[0]) + g[1]
+    rhs[-2] -= g[-1]
+    return fit, pen, rhs
+
+
+def fit_residual(g: np.ndarray, g_tilde: np.ndarray) -> float:
+    """||A g - g~|| from A's rows: g - g~ inside, the first differences
+    minus g~ at the two ends; equal to the sparse product's norm bit for bit."""
+    r = g - g_tilde
+    r[0] = (g[1] - g[0]) - g_tilde[0]
+    r[-1] = (g[-1] - g[-2]) - g_tilde[-1]
+    return float(np.linalg.norm(r))
 
 
 def _solve_bands(fit: np.ndarray, pen: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
@@ -211,12 +270,7 @@ def solve_tikhonov(
     return _solve_bands(*normal_equations(design, penalty, g_tilde), lam)
 
 
-def select_lambda(
-    design: scipy.sparse.spmatrix,
-    penalty: scipy.sparse.spmatrix,
-    g_tilde: np.ndarray,
-    sigma_abs: float,
-) -> tuple[float, np.ndarray]:
+def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndarray]:
     """Discrepancy-principle search for the penalty weight.
 
     Finds a lambda whose fit residual ||A g - g~|| reaches
@@ -241,10 +295,12 @@ def select_lambda(
     scan passes over a failure above every reaching point and falls back to
     lambda_min at a failure below one, as an ascending scan that stops at
     its first failure would; a failure ends the bisection.  The search path
-    is logged at DEBUG; in the fallback the scan bracket is (lo, None), lo
-    being the point that fell short, if any.
+    is logged once at DEBUG: the scan bracket, the solve counts, and either
+    the final bracket or the fallback, each with the returned lambda's
+    residual and the target.  In the fallback the scan bracket is
+    (lo, None), lo being the point that fell short, if any.
     """
-    fit, pen, rhs = normal_equations(design, penalty, g_tilde)
+    fit, pen, rhs = normal_bands(g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
     target = TikhonovConfig.discrepancy_target(n, sigma_abs)
@@ -259,7 +315,7 @@ def select_lambda(
             raise IllPosedError(
                 f"solution exceeds {_BLOWUP_RATIO:g} x ||g~||_inf (lambda={lam!r}): near-singular"
             )
-        residuals[lam] = float(np.linalg.norm(design @ g - g_tilde))
+        residuals[lam] = fit_residual(g, g_tilde)
         if residuals[lam] < target:
             return False
         kept = g
@@ -286,9 +342,14 @@ def select_lambda(
             f"target {target:g}; returning lambda_min",
             stacklevel=2,
         )
-        hi = _LAMBDA_MIN
-        kept = _solve_bands(fit, pen, rhs, hi)
-    elif lo is not None:
+        g = _solve_bands(fit, pen, rhs, _LAMBDA_MIN)
+        _log.debug(
+            "lambda search: bracket %r, %d grid + 0 bisection solves, fallback to "
+            "lambda_min %r, residual %r, target %r",
+            bracket, n_grid, _LAMBDA_MIN, fit_residual(g, g_tilde), target,
+        )
+        return _LAMBDA_MIN, g
+    if lo is not None:
         # residual is nondecreasing in lambda up to rounding; lo*hi may over- or underflow
         while hi > _BRACKET_RATIO * lo:
             mid = float(np.sqrt(lo) * np.sqrt(hi))
@@ -303,7 +364,7 @@ def select_lambda(
     _log.debug(
         "lambda search: bracket %r, %d grid + %d bisection solves, final bracket %r, "
         "lambda %r, residual %r, target %r",
-        bracket, n_grid, n_bisect, (lo, hi), hi, residuals.get(hi), target,
+        bracket, n_grid, n_bisect, (lo, hi), hi, residuals[hi], target,
     )
     return hi, kept
 

@@ -7,9 +7,10 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import driftrec as dr
-from driftrec import mollify
+from driftrec import experiments, mollify
 from driftrec.errors import ConfigurationError, IllPosedError
 
 
@@ -53,7 +54,7 @@ def _bisection_ended_at_first_solve(s, monkeypatch, caplog, failed_solve):
     grid = set(_scan_grid(s["g_tilde"].size))
     _fail_solves(monkeypatch, failed_solve, lambda lam: lam not in grid)
     with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-        lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+        lam, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
     assert _search_counts(caplog)[1] == 1
     assert lam in grid  # the scan's upper end, which solved and reached the target
     assert np.array_equal(g_star, dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam))
@@ -73,7 +74,7 @@ def _scan_failing_from_third_point(monkeypatch, caplog, failed_solve):
     _fail_solves(monkeypatch, failed_solve, lambda lam: lam >= third)
     with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
         with pytest.warns(UserWarning, match="returning lambda_min"):
-            lam, g_star = dr.select_lambda(design, penalty, g_tilde, 10.0)
+            lam, g_star = dr.select_lambda(g_tilde, 10.0)
     assert lam == 1e-12
     assert _search_counts(caplog) == (7, 0)
     assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
@@ -195,6 +196,30 @@ class TestAssembleRhs:
             dr.assemble_rhs(np.array([1.0, 2.0]), 0.0, 0.0, 0.1)
 
 
+class TestNormalBands:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_closed_form_matches_sparse_products(self, data):
+        # the search's closed-form bands and residual against the sparse products
+        # they replace, bit for bit, at small K and at the paper presets' sizes
+        n = data.draw(st.one_of(st.integers(3, 300), st.sampled_from((1001, 10001))), label="K")
+        # finite, and small enough that the squared residual norm cannot overflow
+        finite = st.floats(-1e150, 1e150)
+        g_tilde = data.draw(hnp.arrays(np.float64, n, elements=finite), label="g_tilde")
+        g = data.draw(hnp.arrays(np.float64, n, elements=finite), label="g")
+        design = dr.build_design_matrix(n)
+        bands = mollify.normal_bands(g_tilde)
+        expected = mollify.normal_equations(design, dr.build_regularization_matrix(n), g_tilde)
+        for got, want in zip(bands, expected):
+            assert np.array_equal(got, want)
+        assert bands[0].flags.f_contiguous and bands[1].flags.f_contiguous
+        assert mollify.fit_residual(g, g_tilde) == np.linalg.norm(design @ g - g_tilde)
+
+    def test_too_small(self):
+        with pytest.raises(ConfigurationError, match="3"):
+            mollify.normal_bands(np.ones(2))
+
+
 class TestSolveTikhonov:
     def test_unregularized_limit_matches_data(self):
         n = 101
@@ -274,7 +299,7 @@ class TestSolveTikhonov:
         with pytest.raises(ConfigurationError, match="finite"):
             dr.solve_tikhonov(design, penalty, g_tilde, 1.0)
         with pytest.raises(ConfigurationError, match="finite"):
-            dr.select_lambda(design, penalty, g_tilde, 0.01)
+            dr.select_lambda(g_tilde, 0.01)
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 200), log_lam=st.floats(-12.0, 20.0), seed=st.integers(0, 2**32 - 1))
@@ -295,16 +320,13 @@ class TestSolveTikhonov:
 
 class TestSelectLambda:
     def test_zero_noise_returns_lambda_min(self):
-        n = 51
-        g = np.linspace(1.0, 2.0, n)
-        design = dr.build_design_matrix(n)
-        penalty = dr.build_regularization_matrix(n)
-        lam, _ = dr.select_lambda(design, penalty, g, 0.0)
+        g = np.linspace(1.0, 2.0, 51)
+        lam, _ = dr.select_lambda(g, 0.0)
         assert lam == 1e-12
 
     def test_residual_brackets_target(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        _, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+        _, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
         residual = np.linalg.norm(s["design"] @ g_star - s["g_tilde"])
         target = 1.01 * np.sqrt(s["g_tilde"].size) * s["sigma"]
         assert residual >= target
@@ -312,7 +334,7 @@ class TestSelectLambda:
 
     def test_mollification_reduces_data_error(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        _, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+        _, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
         assert (np.linalg.norm(g_star - s["g_exact"])
                 < np.linalg.norm(s["g_noisy"] - s["g_exact"]))
 
@@ -332,13 +354,13 @@ class TestSelectLambda:
     def test_matches_sparse_reference(self, ex3e_noisy_setup, tikhonov_reference):
         s = ex3e_noisy_setup
         _, reference_search = tikhonov_reference
-        lam, _ = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+        lam, _ = dr.select_lambda(s["g_tilde"], s["sigma"])
         assert lam == reference_search(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
 
     def test_logs_search_once(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+            lam, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "bracket" in message and "bisection solves" in message
@@ -362,7 +384,7 @@ class TestSelectLambda:
     def test_default_search_budget(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"], s["sigma"])
+            lam, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
         message = caplog.records[0].getMessage()
         n_grid, n_bisect = _search_counts(caplog)
         lo, hi = map(float, re.search(r"final bracket \(([^,]+), ([^)]+)\)", message).groups())
@@ -376,13 +398,19 @@ class TestSelectLambda:
         # noise far larger than the data scale: no lambda up to the ceiling reaches the target
         n = 21
         g = np.linspace(0.0, 1e-3, n)
-        design = dr.build_design_matrix(n)
-        penalty = dr.build_regularization_matrix(n)
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
             with pytest.warns(UserWarning, match="no lambda in .* reaches .*returning lambda_min"):
-                lam, _ = dr.select_lambda(design, penalty, g, 10.0)
+                lam, g_star = dr.select_lambda(g, 10.0)
         assert lam == 1e-12
         assert _search_counts(caplog) == (1, 0)
+        # the fallback is logged as one: the scan bracket, below the ceiling that fell
+        # short, and the residual of the lambda_min solve, with no final bracket
+        message = caplog.records[0].getMessage()
+        ceiling = dr.TikhonovConfig.resolved_lambda_max(n)
+        residual = float(np.linalg.norm(dr.build_design_matrix(n) @ g_star - g))
+        assert f"bracket {(ceiling, None)!r}," in message
+        assert f"fallback to lambda_min 1e-12, residual {residual!r}," in message
+        assert "final bracket" not in message
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
@@ -399,7 +427,7 @@ class TestSelectLambda:
         falls_back = sigma > 0.0 and expected_lam == 1e-12
         with (pytest.warns(UserWarning, match="returning lambda_min") if falls_back
               else contextlib.nullcontext()):
-            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+            lam, g_star = dr.select_lambda(g_tilde, sigma)
         assert lam == expected_lam
         assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
 
@@ -419,7 +447,7 @@ class TestSelectLambda:
         expected_lam = reference_search(design, penalty, g_tilde, sigma)
         with (pytest.warns(UserWarning, match="returning lambda_min") if expected_lam == 1e-12
               else contextlib.nullcontext()):
-            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+            lam, g_star = dr.select_lambda(g_tilde, sigma)
         assert lam == expected_lam
         assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
 
@@ -445,7 +473,7 @@ class TestSelectLambda:
         expected_lam = reference_search(design, penalty, g_tilde, sigma)
         with (pytest.warns(UserWarning, match="returning lambda_min") if interval == 7
               else contextlib.nullcontext()):
-            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+            lam, g_star = dr.select_lambda(g_tilde, sigma)
         assert lam == expected_lam
         assert lam == 1e-12 if interval == 7 else grid[interval] < lam <= grid[interval + 1]
         assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
@@ -463,7 +491,7 @@ class TestSelectLambda:
         grid = _scan_grid(n)
         _fail_solves(monkeypatch, _not_positive_definite, lambda lam: lam == grid[-1])
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            lam, g_star = dr.select_lambda(design, penalty, g_tilde, sigma)
+            lam, g_star = dr.select_lambda(g_tilde, sigma)
         assert _search_counts(caplog)[0] == 5  # the failed ceiling, three that reach, grid[3]
         assert grid[3] < lam <= grid[4]
         assert lam == reference_search(design, penalty, g_tilde, sigma)
@@ -478,8 +506,7 @@ class TestSelectLambda:
         _fail_solves(monkeypatch, _not_positive_definite, lambda lam: lam == below_ceiling)
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
             with pytest.warns(UserWarning, match="returning lambda_min"):
-                lam, g_star = dr.select_lambda(s["design"], s["penalty"], s["g_tilde"],
-                                               s["sigma"])
+                lam, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
         assert lam == 1e-12
         assert _search_counts(caplog) == (2, 0)
         assert np.array_equal(g_star, dr.solve_tikhonov(s["design"], s["penalty"],
@@ -490,13 +517,21 @@ class TestSelectLambda:
         _fail_solves(monkeypatch, _not_positive_definite, lambda lam: True)
         with pytest.warns(UserWarning, match="returning lambda_min"):
             with pytest.raises(IllPosedError, match="not positive definite"):
-                dr.select_lambda(dr.build_design_matrix(n), dr.build_regularization_matrix(n),
-                                 np.linspace(0.0, 1.0, n), 0.01)
+                dr.select_lambda(np.linspace(0.0, 1.0, n), 0.01)
 
     def test_pipeline_solves_only_in_the_search(self, monkeypatch, caplog):
-        # the mollified data is the search's own solution: one set of bands and
-        # no solve beyond the scan and the bisection
-        calls = {"normal_equations": 0, "_solve_bands": 0}
+        # the mollified data is the search's own solution: one set of closed-form
+        # bands, no sparse matrix, and no solve beyond the scan and the bisection
+        def sparse_path(*args):
+            raise AssertionError("a discrepancy run reached the sparse normal equations")
+
+        for module, name in ((mollify, "normal_equations"),
+                             (mollify, "build_design_matrix"),
+                             (mollify, "build_regularization_matrix"),
+                             (experiments, "build_design_matrix"),
+                             (experiments, "build_regularization_matrix")):
+            monkeypatch.setattr(module, name, sparse_path)
+        calls = {"normal_bands": 0, "_solve_bands": 0}
         for name in calls:
             original = getattr(mollify, name)
 
@@ -510,7 +545,7 @@ class TestSelectLambda:
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
             _, record = dr.mollify_data(preset, g_exact, g_measured)
         assert record["mode"] == "discrepancy"
-        assert calls == {"normal_equations": 1, "_solve_bands": sum(_search_counts(caplog))}
+        assert calls == {"normal_bands": 1, "_solve_bands": sum(_search_counts(caplog))}
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -530,8 +565,7 @@ class TestSelectLambda:
                                                   min_size=n, max_size=n)))
         else:
             g_tilde = np.linspace(data.draw(mag), data.draw(mag), n)
-        bands = mollify.normal_equations(dr.build_design_matrix(n),
-                                         dr.build_regularization_matrix(n), g_tilde)
+        bands = mollify.normal_bands(g_tilde)
         for lam in _scan_grid(n):
             g = mollify._solve_bands(*bands, lam)
             assert np.max(np.abs(g)) <= 1e6 * np.max(np.abs(g_tilde))
