@@ -274,7 +274,7 @@ def mollify_data(
 
 
 def run_experiment(
-    preset: ExperimentPreset | str,
+    preset: ExperimentPreset,
     out_dir: str | Path | None = None,
     formats: tuple[str, ...] = FORMATS,
 ) -> ResultBundle:
@@ -283,8 +283,6 @@ def run_experiment(
     Inversion failures (divergence, hopeless data) are captured into the
     bundle rather than raised, so comparative runs can examine them.
     """
-    if isinstance(preset, str):
-        preset = make_preset(preset)
     spec = preset.spec
     m, n = preset.solver_grid
     grids = build_grids(m, n, spec.horizon)

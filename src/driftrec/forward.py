@@ -18,9 +18,10 @@ remaining rows may still pivot.
 
 `march` is the one time loop: it yields every level u^0, ..., u^N and
 holds only the current one.  Whatever does not change from step to step is
-computed once per solve: the factors, the source row as one full-length
-vector, row 0's share of row 1 (b[0] is always b1, so the elimination
-subtracts mult*b1), and the time levels as Python floats.  A step is then
+computed once per solve: the factors, the source row (f depends on x
+only, so it is sampled once, as one full-length vector), row 0's share of
+row 1 (b[0] is always b1, so the elimination subtracts mult*b1), and the
+time levels as Python floats.  A step is then
 `b = u/tau; b += f`, three scalar stores (b[0], b[1], b[m]), one `dgttrs`
 and one finiteness check, `u @ zeros`, which is NaN exactly when u holds
 an inf or a NaN.
@@ -144,21 +145,16 @@ def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[n
     u.setflags(write=False)
     yield u
 
-    x_int = x[1:-1]
-    source_xt, right_flux = spec.source_xt, spec.right_flux
     f = np.zeros(space.m + 1)  # the source row; b's boundary entries are overwritten
-    if source_xt is None:
-        f[1:-1] = sample_on(spec.source, x_int)
+    f[1:-1] = sample_on(spec.source, x[1:-1])
     zeros = np.zeros(space.m + 1)
 
     for n, t_n in enumerate(time.times.tolist()[1:], start=1):
         b = u / tau
-        if source_xt is not None:
-            f[1:-1] = source_xt(x_int, t_n)
         b += f
         b[0] = left_flux
         b[1] -= row1_share
-        b[-1] = float(right_flux(t_n))
+        b[-1] = float(spec.right_flux(t_n))
         u = dgttrs(*lu, b, overwrite_b=1)[0]
         if u @ zeros != 0.0:  # NaN exactly when u holds an inf or a NaN
             raise NumericalError(f"forward solution became non-finite at step {n}")

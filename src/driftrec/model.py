@@ -13,7 +13,7 @@ across concurrent callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -110,8 +110,8 @@ def build_grids(m: int, n_steps: int, horizon: float) -> GridPair:
 class ProblemSpec:
     """Coefficients and data of the forward model.
 
-    `source_xt` is a verification-only hook for manufactured solutions with
-    a time-dependent source; all production presets use `source` alone.
+    The source f depends on x only: the forward solve samples it once, and
+    the inversion's constants q0 = [f + g'' - C_p g]/g' read the same f.
     """
 
     source: Callable[[np.ndarray], np.ndarray]
@@ -120,7 +120,6 @@ class ProblemSpec:
     left_flux: float
     right_flux: Callable[[float], float]
     horizon: float
-    source_xt: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
         if not (self.potential > 0.0 and np.isfinite(self.potential)):
@@ -183,7 +182,7 @@ class AssumptionReport:
     c_v: float
     clause_results: dict[str, str]
     lower_bound_m: float
-    notes: dict[str, str] = field(default_factory=dict)
+    notes: dict[str, str]
 
     def as_dict(self) -> dict:
         return {

@@ -102,7 +102,10 @@ class TikhonovConfig:
 
     @staticmethod
     def discrepancy_target(n_points: int, sigma_abs: float) -> float:
-        """Fit residual the discrepancy principle aims for: tau * sqrt(K) * sigma."""
+        """Fit residual the discrepancy principle aims for: tau * sqrt(K) * sigma,
+        for a finite sigma >= 0 (a NaN or negative target is reached at every lambda)."""
+        if not (sigma_abs >= 0.0 and np.isfinite(sigma_abs)):
+            raise ConfigurationError(f"noise sigma must be finite and >= 0, got {sigma_abs!r}")
         return float(_SAFETY * np.sqrt(n_points) * sigma_abs)
 
 

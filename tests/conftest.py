@@ -190,6 +190,30 @@ def reference_spec(horizon=1.0):
     )
 
 
+def _manufactured_exact(x, t):
+    return np.exp(-t) * np.cosh(2.0 * np.asarray(x, dtype=float)) + 2.0
+
+
+@pytest.fixture(scope="session")
+def manufactured():
+    """A closed-form solution of the model and its spec: (spec, exact(x, t)).
+
+    u*(x, t) = exp(-t) cosh(2x) + 2 with q = 0 and C_p = 5 solves the PDE with
+    the constant source f = 2 C_p, because -phi'' + (C_p - 1) phi = 0 for
+    phi = cosh(2x).  Its fluxes are b1 = 0 and b2(t) = 2 sinh(2) exp(-t).
+    """
+    c_p = 5.0
+    spec = dr.ProblemSpec(
+        source=lambda x: 2.0 * c_p,
+        potential=c_p,
+        initial=lambda x: _manufactured_exact(x, 0.0),
+        left_flux=0.0,
+        right_flux=lambda t: 2.0 * np.sinh(2.0) * np.exp(-t),
+        horizon=1.0,
+    )
+    return spec, _manufactured_exact
+
+
 @pytest.fixture(scope="session")
 def ex1_spec():
     return reference_spec()

@@ -51,19 +51,9 @@ def test_criterion_1_steady_state_exactness():
             time.perf_counter() - start, 1.0)
 
 
-def test_criterion_2_forward_convergence():
+def test_criterion_2_forward_convergence(manufactured):
     start = time.perf_counter()
-    c_p = 5.0
-
-    def exact(x, t):
-        return np.exp(-t) * np.cos(np.pi * np.asarray(x, dtype=float)) + 2.0
-
-    def src(x, t):
-        return (np.pi**2 - 1.0 + c_p) * np.exp(-t) * np.cos(np.pi * np.asarray(x, dtype=float)) + 2.0 * c_p
-
-    spec = dr.ProblemSpec(source=lambda x: src(x, 0.0), potential=c_p,
-                          initial=lambda x: exact(x, 0.0), left_flux=0.0,
-                          right_flux=_constant(0.0), horizon=1.0, source_xt=src)
+    spec, exact = manufactured
     errors = []
     for m in (25, 50, 100):
         grids = dr.build_grids(m, m, 1.0)
@@ -129,7 +119,7 @@ def test_criterion_5_decreasing_iteration(ex1_setup):
 @pytest.mark.parametrize("name", ["ex1a", "ex1b"])
 def test_criterion_6_smooth_reconstruction(name):
     start = time.perf_counter()
-    bundle = dr.run_experiment(name)
+    bundle = dr.run_experiment(dr.make_preset(name))
     assert bundle.status == "ok"
     assert len(bundle.trace.step_norms) <= 3
     assert bundle.metrics["rel_l2"] <= 0.05
@@ -142,7 +132,7 @@ def test_criterion_6_smooth_reconstruction(name):
                                         ("ex2d", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))])
 def test_criterion_7_kinked_reconstruction(name, kinks):
     start = time.perf_counter()
-    bundle = dr.run_experiment(name)
+    bundle = dr.run_experiment(dr.make_preset(name))
     assert bundle.status == "ok"
     err = _masked_rel_l2(bundle, kinks)
     assert err <= 0.10

@@ -2,6 +2,7 @@ import json
 import re
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,14 +177,14 @@ class TestMollifyData:
 
 
 class TestRunExperiment:
-    def test_accepts_preset_name(self):
-        bundle = dr.run_experiment("ex1a")
+    def test_default_preset_recovers_drift(self):
+        bundle = dr.run_experiment(dr.make_preset("ex1a"))
         assert bundle.status == "ok"
         assert bundle.metrics["rel_l2"] <= 0.05
         assert len(bundle.trace.step_norms) <= 3
 
     def test_bundle_embeds_assumption_report(self):
-        bundle = dr.run_experiment("ex1a")
+        bundle = dr.run_experiment(dr.make_preset("ex1a"))
         assert bundle.assumptions.clause_results["f"] == "warn"
         assert bundle.provenance["preset"] == "ex1a"
         assert bundle.provenance["tool_version"] == dr.__version__
@@ -199,7 +200,7 @@ class TestRunExperiment:
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
-    bundle = dr.run_experiment("ex3e", out_dir=out)
+    bundle = dr.run_experiment(dr.make_preset("ex3e"), out_dir=out)
     return bundle, out
 
 
@@ -315,3 +316,13 @@ class TestSuite:
         p = dr.make_preset("ex1a", noise_level=0.01)
         assert p.mollify
         assert not dr.make_preset("ex1a", noise_level=0.01, mollify=False).mollify
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the README's "Library example" block, run as written; its runs/ lands in tmp_path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert (tmp_path / "runs" / "ex1a" / "trace.json").exists()

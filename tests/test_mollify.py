@@ -324,6 +324,14 @@ class TestSelectLambda:
         lam, _ = dr.select_lambda(g, 0.0)
         assert lam == 1e-12
 
+    @pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf])
+    def test_invalid_sigma_rejected(self, sigma):
+        # a NaN or negative target counts as reached at every lambda, so the search
+        # would return lambda_min without a warning
+        g = np.linspace(1.0, 2.0, 51)
+        with pytest.raises(ConfigurationError, match="sigma must be finite and >= 0"):
+            dr.select_lambda(g, sigma)
+
     def test_residual_brackets_target(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
         _, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
