@@ -10,21 +10,17 @@ One backward-Euler step of the discrete scheme reads, row by row,
 with d1, d2 the centered first/second differences.  The matrix does not
 depend on time, so each solve factorizes it once with LAPACK `dgttrf` and
 calls `dgttrs` once per step, in place on that step's fresh right-hand
-side.  Row 0 is first eliminated from row 1 by one plain Thomas step: left
-to itself, `dgttrf`'s partial pivoting swaps the flux row (-1/h, 1/h) with
-row 1 (entries ~1/h^2), which lifts the steady-state deviation of
-acceptance criterion 1 from 1.3e-15 to 1.5e-12, over its 1e-12 bound.  The
-remaining rows may still pivot.
+side.  Row 0 is stored times s = 2^ceil(log2(2/h)), which makes it
+`dgttrf`'s pivot whenever |q| h <= 2 and, s being a power of two, rounds
+exactly as eliminating the flux row (-1/h, 1/h) by hand.
 
 `march` is the one time loop: it yields every level u^0, ..., u^N and
 holds only the current one.  Whatever does not change from step to step is
 computed once per solve: the factors, the source row (f depends on x
-only, so it is sampled once, as one full-length vector), row 0's share of
-row 1 (b[0] is always b1, so the elimination subtracts mult*b1), and the
-time levels as Python floats.  A step is then
-`b = u/tau; b += f`, three scalar stores (b[0], b[1], b[m]), one `dgttrs`
-and one finiteness check, `u @ zeros`, which is NaN exactly when u holds
-an inf or a NaN.
+only, so it is sampled once, as one full-length vector), b[0] = s b1 and
+the time levels as Python floats.  A step is then `b = u/tau; b += f`,
+two scalar stores (b[0], b[m]), one `dgttrs` and one finiteness check,
+`u @ zeros`, which is NaN exactly when u holds an inf or a NaN.
 
 The inversion reads the solution only at the final time (g = u^N,
 u_t ~ (u^N - u^{N-1})/tau), so `solve_forward` keeps just the last two
@@ -33,6 +29,7 @@ levels: memory is O(m), not O(nm).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -54,7 +51,8 @@ def assemble_step_matrix(
     The bands have lengths m, m+1, m; lower[k] sits in row k+1 and
     upper[k] in row k.  Interior row i carries lower = -1/h^2 - q_i/(2h),
     diag = 1/tau + 2/h^2 + C_p, upper = -1/h^2 + q_i/(2h); the two
-    boundary rows are the one-sided flux rows (-1/h, 1/h).
+    boundary rows are the one-sided flux rows (-1/h, 1/h), row 0 times
+    `_flux_row_scale(h)`.
     """
     space, time = grids.space, grids.time
     if drift.grid != space:
@@ -70,8 +68,9 @@ def assemble_step_matrix(
     diag = np.empty(m + 1)
     upper = np.empty(m)
 
-    diag[0] = -1.0 / h
-    upper[0] = 1.0 / h
+    s = _flux_row_scale(h)
+    diag[0] = s * (-1.0 / h)
+    upper[0] = s * (1.0 / h)
     lower[:-1] = -1.0 / h**2 - q_int / (2.0 * h)
     diag[1:-1] = 1.0 / tau + 2.0 / h**2 + spec.potential
     upper[1:] = -1.0 / h**2 + q_int / (2.0 * h)
@@ -81,24 +80,25 @@ def assemble_step_matrix(
     return lower, diag, upper
 
 
+def _flux_row_scale(h: float) -> float:
+    """s = 2^ceil(log2(2/h)), the factor on row 0 and b[0]: s/h >= 2/h^2 >= |lower[0]|
+    whenever |q_1| h <= 2, so `dgttrf` pivots on row 0.  Row m needs no scale: the
+    pivot of column m-1 is about 1/h^2, far above |lower[-1]| = 1/h."""
+    return 2.0 ** math.ceil(math.log2(2.0 / h))
+
+
 def _lu_factor(lower, diag, upper):
-    """Eliminate row 0 from row 1 without pivoting, then LU-factor with `dgttrf`.
+    """LU-factor the bands with `dgttrf`, overwriting them.
 
     A pivot below PIVOT_FLOOR in any row, dgttrf's exact zeros (info > 0)
     included, raises SingularSystemError naming the row.
     """
-    if abs(diag[0]) < PIVOT_FLOOR:
-        raise SingularSystemError("zero pivot in row 0")
-    mult = lower[0] / diag[0]
-    lo = np.array(lower, dtype=float)
-    dg = np.array(diag, dtype=float)
-    lo[0] = 0.0
-    dg[1] -= mult * upper[0]
-    dl, d, du, du2, ipiv, _ = dgttrf(lo, dg, upper, overwrite_dl=1, overwrite_d=1)
+    dl, d, du, du2, ipiv, _ = dgttrf(lower, diag, upper,
+                                     overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     tiny = np.flatnonzero(np.abs(d) < PIVOT_FLOOR)
     if tiny.size:
         raise SingularSystemError(f"zero pivot in row {tiny[0]}")
-    return mult, (dl, d, du, du2, ipiv)
+    return dl, d, du, du2, ipiv
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +134,8 @@ def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[n
     x = space.nodes
     tau = time.tau
 
-    mult, lu = _lu_factor(*assemble_step_matrix(spec, drift, grids))
-    left_flux = float(spec.left_flux)
-    # b[0] is always b1, so row 0's elimination takes the same share of row 1 every step
-    row1_share = mult * left_flux
+    lu = _lu_factor(*assemble_step_matrix(spec, drift, grids))
+    left_flux = _flux_row_scale(space.h) * float(spec.left_flux)
 
     u = np.array(sample_on(spec.initial, x))  # a copy: the callable may return an array it keeps
     if not np.all(np.isfinite(u)):
@@ -153,7 +151,6 @@ def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[n
         b = u / tau
         b += f
         b[0] = left_flux
-        b[1] -= row1_share
         b[-1] = float(spec.right_flux(t_n))
         u = dgttrs(*lu, b, overwrite_b=1)[0]
         if u @ zeros != 0.0:  # NaN exactly when u holds an inf or a NaN

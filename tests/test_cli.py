@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +129,25 @@ class TestCommands:
         assert json.loads((tmp_path / "ex3e" / "trace.json").read_text())["provenance"]["seed"] == 5
         # the exact presets run without noise and take no seed, as before
         assert json.loads((tmp_path / "ex1a" / "trace.json").read_text())["provenance"]["seed"] is None
+
+
+class TestModuleEntryPoint:
+    """`python -m driftrec` runs `driftrec.__main__`, which exits with main's code."""
+
+    def _run(self, argv, cwd):
+        src = str(Path(dr.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "PYTHONWARNINGS": "error::UserWarning,error::RuntimeWarning"}
+        return subprocess.run([sys.executable, "-m", "driftrec", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_forward_exits_0(self, tmp_path):
+        run = self._run(["forward", "ex1a", "--grid-m", "20", "--grid-n", "20"], tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("forward ex1a: grid 20x20")
+
+    def test_configuration_error_exits_2(self, tmp_path):
+        run = self._run(["invert", "ex1a", "--data-points", "1001", "--seed", "11"], tmp_path)
+        assert run.returncode == 2
+        assert "--seed 11 has no effect" in run.stderr

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg.lapack import dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError, NumericalError, SingularSystemError
-from driftrec.forward import _lu_factor
+from driftrec.forward import _flux_row_scale, _lu_factor
 from driftrec.model import centered_first
 
 
@@ -24,12 +24,11 @@ def _dense_from_bands(lower, diag, upper):
 
 
 def _band_solve(lower, diag, upper, rhs):
-    """Apply `_lu_factor`'s factors as `march` does each step, on a copy of rhs:
-    eliminate row 0 from row 1, then one `dgttrs`."""
-    mult, lu = _lu_factor(lower, diag, upper)
-    b = np.array(rhs, dtype=float)
-    b[1] -= mult * b[0]
-    return dgttrs(*lu, b, overwrite_b=1)[0]
+    """Factor copies of the bands with `_lu_factor`, which overwrites its
+    input, and apply the factors to a copy of rhs as `march` does each step:
+    one `dgttrs`."""
+    lu = _lu_factor(*(np.array(band, dtype=float) for band in (lower, diag, upper)))
+    return dgttrs(*lu, np.array(rhs, dtype=float), overwrite_b=1)[0]
 
 
 def _constant(c):
@@ -68,7 +67,8 @@ class TestAssembly:
         grids = dr.build_grids(10, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
         lower, diag, upper = dr.assemble_step_matrix(spec, q, grids)
-        assert (diag[0], upper[0]) == (-10.0, 10.0)
+        # row 0 is the flux row (-1/h, 1/h) times 2^ceil(log2(2/h)) = 32
+        assert (diag[0], upper[0]) == (-320.0, 320.0)
         assert (lower[-1], diag[-1]) == (-10.0, 10.0)
 
     def test_interior_sign_pattern_and_dominance(self):
@@ -203,7 +203,7 @@ class TestForwardSolve:
         for n in range(1, grids.time.n_steps + 1):
             bands = dr.assemble_step_matrix(ex1_spec, q, grids)
             rhs = np.empty(x.size)
-            rhs[0] = ex1_spec.left_flux
+            rhs[0] = _flux_row_scale(grids.space.h) * ex1_spec.left_flux
             rhs[1:-1] = u[1:-1] / tau + f_int
             rhs[-1] = ex1_spec.right_flux(grids.time.times[n])
             u = _band_solve(*bands, rhs)
@@ -228,11 +228,50 @@ class TestForwardSolve:
         times = grids.time.times
         for n in range(1, n_steps + 1):
             rhs = np.empty(x.size)
-            rhs[0] = ex1_spec.left_flux
+            rhs[0] = _flux_row_scale(grids.space.h) * ex1_spec.left_flux
             rhs[1:-1] = u[1:-1] / grids.time.tau + f_int
             rhs[-1] = ex1_spec.right_flux(times[n])
             u = apply(fac, rhs)
             assert np.max(np.abs(levels[n] - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-1.0, 1.0),
+           a1=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi))
+    @example(m=4, n_steps=3, a0=1.0, a1=0.0, phase=0.0)  # |q| h = 2: |diag[0]| = |lower[0]|
+    @example(m=10, n_steps=5, a0=-1.0, a1=0.0, phase=0.0)  # lower[0] = 0
+    def test_scaled_flux_row_matches_pre_eliminated_march(self, ex1_spec,
+                                                          pre_eliminated_reference, m,
+                                                          n_steps, a0, a1, phase):
+        # q = (2/h) w with |w| <= 1: every drift with |q| h <= 2, not only admissible ones
+        grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
+        x = grids.space.nodes
+        w = (a0 + a1 * np.sin(2.0 * np.pi * x + phase)) / max(1.0, abs(a0) + a1)
+        q = dr.GridFunction(grids.space, (2.0 / grids.space.h) * w)
+        ipiv = dgttrf(*dr.assemble_step_matrix(ex1_spec, q, grids))[4]
+        assert ipiv[0] == 1  # no row-0 interchange
+        levels = list(dr.march(ex1_spec, q, grids))
+        reference = pre_eliminated_reference(ex1_spec, q, grids)
+        for level, ref in zip(levels, reference, strict=True):
+            assert np.array_equal(level, ref)
+
+    def test_row_0_interchange_beyond_the_drift_bound(self, ex1_spec, dense_solve):
+        # q h = 5 > 2: |lower[0]| = 350 exceeds |diag[0]| = 320, so dgttrf swaps rows 0 and 1
+        grids = dr.build_grids(10, 10, 1.0)
+        h, tau = grids.space.h, grids.time.tau
+        q = dr.GridFunction.sample(grids.space, _constant(5.0 / h))
+        lower, diag, upper = dr.assemble_step_matrix(ex1_spec, q, grids)
+        assert dgttrf(lower, diag, upper)[4][0] == 2
+        u0, u1 = list(dr.march(ex1_spec, q, grids))[:2]
+
+        a = _dense_from_bands(lower, diag, upper)
+        a[0, :2] = (-1.0 / h, 1.0 / h)  # the unscaled flux row
+        x = grids.space.nodes
+        rhs = u0 / tau
+        rhs[1:-1] += dr.sample_on(ex1_spec.source, x[1:-1])
+        rhs[0] = ex1_spec.left_flux
+        rhs[-1] = ex1_spec.right_flux(tau)
+        u_ref = dense_solve(a, rhs)
+        assert np.max(np.abs(u1 - u_ref)) <= 1e-12 * max(1.0, np.max(np.abs(u_ref)))
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-0.5, 0.5),
@@ -345,7 +384,7 @@ class TestForwardSolve:
 
             u0 = dr.sample_on(spec.initial, grids.space.nodes)
             rhs = np.empty(m + 1)
-            rhs[0] = spec.left_flux
+            rhs[0] = _flux_row_scale(grids.space.h) * spec.left_flux
             rhs[1:-1] = u0[1:-1] / grids.time.tau + dr.sample_on(spec.source, grids.space.nodes[1:-1])
             rhs[-1] = spec.right_flux(grids.time.tau)
             assert np.all(rhs >= 0.0) and np.all(u0 >= 0.0)
