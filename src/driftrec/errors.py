@@ -15,7 +15,8 @@ class NumericalError(RuntimeError):
 
 
 class SingularSystemError(NumericalError):
-    """A linear solve hit a zero or effectively-zero pivot."""
+    """A linear solve hit a zero or effectively-zero pivot, or a step matrix
+    could not be symmetrized."""
 
 
 class IllPosedError(NumericalError):

@@ -2,29 +2,31 @@
 
 One backward-Euler step of the discrete scheme reads, row by row,
 
-    i = 0:        (u_1 - u_0)/h = b1
+    i = 0:        (u_0 - u_1)/h = -b1
     0 < i < m:    u_i/tau - d2(u)_i + q_i d1(u)_i + C_p u_i
                       = u_i^{prev}/tau + f(x_i)
     i = m:        (u_m - u_{m-1})/h = b2(t_n)
 
-with d1, d2 the centered first/second differences.  The matrix does not
-depend on time, so each solve factorizes it once with LAPACK `dgttrf` and
-calls `dgttrs` once per step, in place on that step's fresh right-hand
-side.  Row 0 is stored times s = 2^ceil(log2(2/h)), which makes it
-`dgttrf`'s pivot whenever |q| h <= 2 and, s being a power of two, rounds
-exactly as eliminating the flux row (-1/h, 1/h) by hand.
+with d1, d2 the centered first/second differences.  Every off-diagonal of
+this matrix M is negative while |q_i| h < 2 at each interior node; M is then
+an M-matrix, so the scheme preserves order, and the diagonal matrix
+D = diag(d), d_0 = 1, d_{i+1} = d_i sqrt(lower_i/upper_i), makes
+S = D^-1 M D symmetric with M's positive spectrum (Golub & Van Loan,
+Matrix Computations, 4.3 and 5).  S does not depend on time, so each solve
+factors it once as L diag(p) L^T with LAPACK `dpttrf` and marches in
+w = D^-1 u, one `dpttrs` per step in place on that step's fresh
+right-hand side.  Only the levels that are read are multiplied back by D.
 
-`march` is the one time loop: it yields every level u^0, ..., u^N and
-holds only the current one.  Whatever does not change from step to step is
-computed once per solve: the factors, the source row (f depends on x
-only, so it is sampled once, as one full-length vector), b[0] = s b1 and
-the time levels as Python floats.  A step is then `b = u/tau; b += f`,
-two scalar stores (b[0], b[m]), one `dgttrs` and one finiteness check,
-`u @ zeros`, which is NaN exactly when u holds an inf or a NaN.
+`march` yields every level u^0, ..., u^N and holds only the current one.
+Whatever does not change from step to step is computed once per solve: d,
+the factors, the source row divided by d (f depends on x only), b[0] = -b1
+and the time levels as Python floats.  A step is then
+`b = w/tau; b += f/d`, two scalar stores (b[0], b[m] = b2/d_m), one
+`dpttrs` and one finiteness check.
 
 The inversion reads the solution only at the final time (g = u^N,
 u_t ~ (u^N - u^{N-1})/tau), so `solve_forward` keeps just the last two
-levels: memory is O(m), not O(nm).
+levels and unscales only those: memory is O(m), not O(nm).
 """
 
 from __future__ import annotations
@@ -35,24 +37,30 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigurationError, NumericalError, SingularSystemError
 from .model import GridFunction, GridPair, ProblemSpec, sample_on
 
 PIVOT_FLOOR = 1e-300
+# A step's finiteness check is w . (c, ..., c), NaN or +-inf exactly when w holds a
+# NaN or an inf.  It raises no numpy warning: c is not 0 (inf * 0 would warn), and a
+# dpttrs solution holds infs of one sign only, the multipliers of S being negative, so
+# no inf - inf arises.  c = 2^-600 keeps the sum of any finite w from overflowing.
+_CHECK_WEIGHT = 2.0**-600
 
 
 def assemble_step_matrix(
     spec: ProblemSpec, drift: GridFunction, grids: GridPair
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The bands (lower, diag, upper) of the time-independent step matrix.
+    """The bands (lower, diag, upper) of the time-independent step matrix M.
 
     The bands have lengths m, m+1, m; lower[k] sits in row k+1 and
     upper[k] in row k.  Interior row i carries lower = -1/h^2 - q_i/(2h),
     diag = 1/tau + 2/h^2 + C_p, upper = -1/h^2 + q_i/(2h); the two
-    boundary rows are the one-sided flux rows (-1/h, 1/h), row 0 times
-    `_flux_row_scale(h)`.
+    boundary rows are the one-sided flux rows, (1/h, -1/h) in row 0 and
+    (-1/h, 1/h) in row m, so that every off-diagonal is negative while
+    |q_i| h < 2.
     """
     space, time = grids.space, grids.time
     if drift.grid != space:
@@ -68,9 +76,8 @@ def assemble_step_matrix(
     diag = np.empty(m + 1)
     upper = np.empty(m)
 
-    s = _flux_row_scale(h)
-    diag[0] = s * (-1.0 / h)
-    upper[0] = s * (1.0 / h)
+    diag[0] = 1.0 / h
+    upper[0] = -1.0 / h
     lower[:-1] = -1.0 / h**2 - q_int / (2.0 * h)
     diag[1:-1] = 1.0 / tau + 2.0 / h**2 + spec.potential
     upper[1:] = -1.0 / h**2 + q_int / (2.0 * h)
@@ -80,25 +87,36 @@ def assemble_step_matrix(
     return lower, diag, upper
 
 
-def _flux_row_scale(h: float) -> float:
-    """s = 2^ceil(log2(2/h)), the factor on row 0 and b[0]: s/h >= 2/h^2 >= |lower[0]|
-    whenever |q_1| h <= 2, so `dgttrf` pivots on row 0.  Row m needs no scale: the
-    pivot of column m-1 is about 1/h^2, far above |lower[-1]| = 1/h."""
-    return 2.0 ** math.ceil(math.log2(2.0 / h))
+def _ldl_factor(lower, diag, upper):
+    """Symmetrize the bands of M and factor S = D^-1 M D with `dpttrf`.
 
-
-def _lu_factor(lower, diag, upper):
-    """LU-factor the bands with `dgttrf`, overwriting them.
-
-    A pivot below PIVOT_FLOOR in any row, dgttrf's exact zeros (info > 0)
-    included, raises SingularSystemError naming the row.
+    Returns D's diagonal d and the factors (p, l) of S = L diag(p) L^T that
+    `dpttrs` takes.  Raises SingularSystemError naming the first row with
+    an off-diagonal that is not negative (for a step matrix, the first
+    node with |q| h >= 2), the first node where d is not finite and
+    positive, or the first pivot below PIVOT_FLOOR (S not positive
+    definite).  The bands are not modified.
     """
-    dl, d, du, du2, ipiv, _ = dgttrf(lower, diag, upper,
-                                     overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-    tiny = np.flatnonzero(np.abs(d) < PIVOT_FLOOR)
+    row = np.flatnonzero(~(np.r_[True, lower < 0.0] & np.r_[upper < 0.0, True]))
+    if row.size:
+        raise SingularSystemError(
+            f"the step matrix cannot be symmetrized: an off-diagonal of row {row[0]} is not "
+            f"negative (|q| h >= 2 at node {row[0]})"
+        )
+    ratio = np.sqrt(lower / upper)
+    with np.errstate(over="ignore"):
+        d = np.cumprod(np.r_[1.0, ratio])
+    node = np.flatnonzero(~((d > 0.0) & (d < math.inf)))
+    if node.size:
+        raise SingularSystemError(
+            f"the step matrix cannot be symmetrized: d is not finite and positive at node "
+            f"{node[0]}"
+        )
+    p, l, _ = dpttrf(diag, upper * ratio)
+    tiny = np.flatnonzero(~(p >= PIVOT_FLOOR))
     if tiny.size:
-        raise SingularSystemError(f"zero pivot in row {tiny[0]}")
-    return dl, d, du, du2, ipiv
+        raise SingularSystemError(f"non-positive pivot in row {tiny[0]}")
+    return d, p, l
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +125,7 @@ class FinalLevels:
 
     `values` has shape (2, m+1): row 0 is u^{N-1} (u^0 when n_steps = 1)
     and row 1 is u^N.  The array is not copied, only viewed read-only, and
-    not checked for finiteness: `march` checks every level it yields.
+    not checked for finiteness: the march checks every level it solves for.
     """
 
     grids: GridPair
@@ -123,46 +141,67 @@ class FinalLevels:
         object.__setattr__(self, "values", vals)
 
 
+def _start(spec: ProblemSpec, drift: GridFunction, grids: GridPair):
+    """Factor the step matrix, then sample u^0: returns (d, p, l) and u^0."""
+    factors = _ldl_factor(*assemble_step_matrix(spec, drift, grids))
+    # a copy: the callable may return an array it keeps
+    u = np.array(sample_on(spec.initial, grids.space.nodes))
+    if not np.all(np.isfinite(u)):
+        raise ConfigurationError("initial condition sampled to non-finite values")
+    return factors, u
+
+
+def _scaled_steps(
+    spec: ProblemSpec, grids: GridPair, factors, u0: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Yield w^1, ..., w^N, w = D^-1 u, each a fresh array that `dpttrs`
+    wrote in place of its right-hand side."""
+    d, p, l = factors
+    x = grids.space.nodes
+    tau = grids.time.tau
+    f_d = np.zeros(x.size)  # the source row over d; b's boundary entries are overwritten
+    f_d[1:-1] = sample_on(spec.source, x[1:-1]) / d[1:-1]
+    left_flux = -float(spec.left_flux)
+    d_m = float(d[-1])
+    weights = np.full(x.size, _CHECK_WEIGHT)
+
+    w = u0 / d
+    for n, t_n in enumerate(grids.time.times.tolist()[1:], start=1):
+        b = w / tau
+        b += f_d
+        b[0] = left_flux
+        b[-1] = float(spec.right_flux(t_n)) / d_m
+        w = dpttrs(p, l, b, overwrite_b=1)[0]
+        if not math.isfinite(w.dot(weights)):
+            raise NumericalError(f"forward solution became non-finite at step {n}")
+        yield w
+
+
 def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[np.ndarray]:
     """Yield the levels u^0, u^1, ..., u^N of the implicit scheme.
 
-    Each level is a fresh read-only array of length m+1: a step fills a new
-    right-hand side and `dgttrs` overwrites it with the solution, so a
-    caller that keeps a level is never aliased by the next step.
+    Each level is a fresh read-only array of length m+1, so a caller that
+    keeps a level is never aliased by the next step; u^0 is the sampled
+    initial condition itself and each later level is d * w.
     """
-    space, time = grids.space, grids.time
-    x = space.nodes
-    tau = time.tau
-
-    lu = _lu_factor(*assemble_step_matrix(spec, drift, grids))
-    left_flux = _flux_row_scale(space.h) * float(spec.left_flux)
-
-    u = np.array(sample_on(spec.initial, x))  # a copy: the callable may return an array it keeps
-    if not np.all(np.isfinite(u)):
-        raise ConfigurationError("initial condition sampled to non-finite values")
+    factors, u = _start(spec, drift, grids)
     u.setflags(write=False)
     yield u
-
-    f = np.zeros(space.m + 1)  # the source row; b's boundary entries are overwritten
-    f[1:-1] = sample_on(spec.source, x[1:-1])
-    zeros = np.zeros(space.m + 1)
-
-    for n, t_n in enumerate(time.times.tolist()[1:], start=1):
-        b = u / tau
-        b += f
-        b[0] = left_flux
-        b[-1] = float(spec.right_flux(t_n))
-        u = dgttrs(*lu, b, overwrite_b=1)[0]
-        if u @ zeros != 0.0:  # NaN exactly when u holds an inf or a NaN
-            raise NumericalError(f"forward solution became non-finite at step {n}")
+    d = factors[0]
+    for w in _scaled_steps(spec, grids, factors, u):
+        u = w * d
         u.setflags(write=False)
         yield u
 
 
 def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> FinalLevels:
     """March the implicit scheme from the sampled initial condition to T,
-    keeping only the last two levels."""
-    return FinalLevels(grids, np.stack(deque(march(spec, drift, grids), maxlen=2)))
+    keeping only the last two levels: those of `march`, bit for bit."""
+    factors, u0 = _start(spec, drift, grids)
+    d = factors[0]
+    last = deque(_scaled_steps(spec, grids, factors, u0), maxlen=2)
+    prev = last[0] * d if len(last) == 2 else u0
+    return FinalLevels(grids, np.stack([prev, last[-1] * d]))
 
 
 def final_time_derivative(field: FinalLevels) -> GridFunction:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import settings
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 import driftrec as dr
 from driftrec import svgplot
@@ -78,41 +77,6 @@ def thomas_apply(factor, rhs):
 @pytest.fixture(scope="session")
 def thomas_reference():
     return thomas_factor, thomas_apply
-
-
-def pre_eliminated_march(spec, drift, grids):
-    """Every level of the forward march with the flux row (-1/h, 1/h) left
-    unscaled: one hand-written Thomas step eliminates it from row 1 before
-    `dgttrf`, so partial pivoting cannot swap it, and each step takes
-    mult*b1 off b[1].  Bit-for-bit reference for the scaled row 0 of
-    `driftrec.forward`."""
-    h, tau = grids.space.h, grids.time.tau
-    x = grids.space.nodes
-    lower, diag, upper = dr.assemble_step_matrix(spec, drift, grids)
-    diag[0], upper[0] = -1.0 / h, 1.0 / h
-    mult = lower[0] / diag[0]
-    diag[1] -= mult * upper[0]
-    lower[0] = 0.0
-    lu = dgttrf(lower, diag, upper)[:5]
-    left_flux = float(spec.left_flux)
-    f = np.zeros(x.size)
-    f[1:-1] = dr.sample_on(spec.source, x[1:-1])
-    u = np.array(dr.sample_on(spec.initial, x))
-    levels = [u]
-    for t_n in grids.time.times.tolist()[1:]:
-        b = u / tau
-        b += f
-        b[0] = left_flux
-        b[1] -= mult * left_flux
-        b[-1] = float(spec.right_flux(t_n))
-        u = dgttrs(*lu, b)[0]
-        levels.append(u)
-    return levels
-
-
-@pytest.fixture(scope="session")
-def pre_eliminated_reference():
-    return pre_eliminated_march
 
 
 def tikhonov_solve(design, penalty, g_tilde, lam):

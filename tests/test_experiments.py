@@ -196,6 +196,17 @@ class TestRunExperiment:
         assert bundle.error is not None
         assert bundle.metrics is None
 
+    def test_drift_beyond_the_bound_fails_the_run(self):
+        # unmollified 2 % noise puts |q0| h >= 2 at node 1 (the solver without the bound
+        # reported ok with rel_l2 9851 here)
+        preset = dr.make_preset("ex3e", noise_level=0.02, seed=1, mollify=False)
+        bundle = dr.run_experiment(preset)
+        assert bundle.status == "failed"
+        assert "cannot be symmetrized" in bundle.error
+        assert "|q| h >= 2 at node 1" in bundle.error
+        assert bundle.metrics is None
+        assert len(bundle.trace.iterates) == 1
+
 
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):

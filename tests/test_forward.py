@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import driftrec as dr
 from driftrec.errors import ConfigurationError, NumericalError, SingularSystemError
-from driftrec.forward import _flux_row_scale, _lu_factor
+from driftrec.forward import _ldl_factor
 from driftrec.model import centered_first
 
 
@@ -24,11 +24,10 @@ def _dense_from_bands(lower, diag, upper):
 
 
 def _band_solve(lower, diag, upper, rhs):
-    """Factor copies of the bands with `_lu_factor`, which overwrites its
-    input, and apply the factors to a copy of rhs as `march` does each step:
-    one `dgttrs`."""
-    lu = _lu_factor(*(np.array(band, dtype=float) for band in (lower, diag, upper)))
-    return dgttrs(*lu, np.array(rhs, dtype=float), overwrite_b=1)[0]
+    """Solve M x = rhs on the bands of M as `march` does: factor S = D^-1 M D
+    with `_ldl_factor`, apply one `dpttrs` to D^-1 rhs and multiply back by D."""
+    d, p, l = _ldl_factor(lower, diag, upper)
+    return d * dpttrs(p, l, np.asarray(rhs, dtype=float) / d)[0]
 
 
 def _constant(c):
@@ -37,16 +36,23 @@ def _constant(c):
 
 @st.composite
 def _dominant_bands(draw):
-    """Row-diagonally dominant bands and rhs of random order and signs."""
+    """Row-diagonally dominant bands of random order with negative, non-symmetric
+    off-diagonals (M-matrix bands, like the step matrix's), and rhs of random signs."""
     n = draw(st.integers(3, 30))
-    unit = st.floats(-1.0, 1.0)
-    lower = draw(hnp.arrays(float, n - 1, elements=unit))
-    upper = draw(hnp.arrays(float, n - 1, elements=unit))
+    negative = st.floats(-1.0, -1e-3)
+    lower = draw(hnp.arrays(float, n - 1, elements=negative))
+    upper = draw(hnp.arrays(float, n - 1, elements=negative))
     margin = draw(hnp.arrays(float, n, elements=st.floats(0.5, 5.0)))
-    sign = draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
     rhs = draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
     off = np.abs(np.r_[0.0, lower]) + np.abs(np.r_[upper, 0.0])
-    return lower, sign * (off + margin), upper, rhs
+    return lower, off + margin, upper, rhs
+
+
+def _step_bands(spec, m, rng):
+    """Step-matrix bands on an m x 4 grid for a random drift with |q| h <= 1.99."""
+    grids = dr.build_grids(m, 4, spec.horizon)
+    q = dr.GridFunction(grids.space, (1.99 / grids.space.h) * rng.uniform(-1.0, 1.0, m + 1))
+    return dr.assemble_step_matrix(spec, q, grids)
 
 
 class TestAssembly:
@@ -67,8 +73,8 @@ class TestAssembly:
         grids = dr.build_grids(10, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
         lower, diag, upper = dr.assemble_step_matrix(spec, q, grids)
-        # row 0 is the flux row (-1/h, 1/h) times 2^ceil(log2(2/h)) = 32
-        assert (diag[0], upper[0]) == (-320.0, 320.0)
+        # row 0 is the flux row (1/h, -1/h): every off-diagonal is negative
+        assert (diag[0], upper[0]) == (10.0, -10.0)
         assert (lower[-1], diag[-1]) == (-10.0, 10.0)
 
     def test_interior_sign_pattern_and_dominance(self):
@@ -104,41 +110,44 @@ class TestAssembly:
 
 
 class TestThomas:
-    def test_identity(self):
-        rhs = np.array([3.0, -1.0, 2.0, 0.5])
-        assert np.array_equal(_band_solve(np.zeros(3), np.ones(4), np.zeros(3), rhs), rhs)
+    """`_ldl_factor` and one `dpttrs`: the Thomas algorithm on S = D^-1 M D."""
 
-    def test_against_dense_elimination(self, dense_solve):
+    def test_identity(self):
+        # symmetric bands need no scaling: D is the identity and the factors are dpttrf's
+        lower = upper = np.array([-1.0, -2.0, -0.5])
+        diag = np.array([3.0, 4.0, 3.0, 1.0])
+        d, p, l = _ldl_factor(lower, diag, upper)
+        assert np.array_equal(d, np.ones(4))
+        p_ref, l_ref, _ = dpttrf(diag, upper)
+        assert np.array_equal(p, p_ref) and np.array_equal(l, l_ref)
+
+    def test_against_dense_elimination(self, ex1_spec, dense_solve):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            n = 6
-            diag = rng.uniform(3.0, 6.0, n)
-            lower = rng.uniform(-1.0, 1.0, n - 1)
-            upper = rng.uniform(-1.0, 1.0, n - 1)
-            rhs = rng.standard_normal(n)
+            lower, diag, upper = _step_bands(ex1_spec, 8, rng)
+            rhs = rng.standard_normal(diag.size)
             x = _band_solve(lower, diag, upper, rhs)
             x_ref = dense_solve(_dense_from_bands(lower, diag, upper), rhs)
             assert np.max(np.abs(x - x_ref)) <= 1e-12 * max(1.0, np.max(np.abs(x_ref)))
 
-    def test_residual_contract(self):
+    def test_residual_contract(self, ex1_spec):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            n = 25
-            diag = rng.uniform(4.0, 8.0, n)
-            lower = rng.uniform(-1.0, 1.0, n - 1)
-            upper = rng.uniform(-1.0, 1.0, n - 1)
-            rhs = rng.standard_normal(n)
+            lower, diag, upper = _step_bands(ex1_spec, 25, rng)
+            rhs = rng.standard_normal(diag.size)
             x = _band_solve(lower, diag, upper, rhs)
             res = _dense_from_bands(lower, diag, upper) @ x - rhs
             assert np.max(np.abs(res)) <= 1e-10 * max(1e-30, np.max(np.abs(rhs)))
 
     def test_zero_pivot(self):
-        with pytest.raises(SingularSystemError, match="pivot"):
-            _lu_factor(np.zeros(2), np.array([0.0, 1.0, 1.0]), np.zeros(2))
+        # symmetric bands that are not positive definite: the first pivot is -1
+        with pytest.raises(SingularSystemError, match="pivot in row 0"):
+            _ldl_factor(np.full(2, -1.0), np.array([-1.0, 1.0, 1.0]), np.full(2, -1.0))
 
     def test_zero_pivot_after_row_0(self):
+        # the second pivot is 1 - (-2)^2 / 1 = -3
         with pytest.raises(SingularSystemError, match="pivot in row 1"):
-            _lu_factor(np.zeros(2), np.array([1.0, 0.0, 1.0]), np.zeros(2))
+            _ldl_factor(np.full(2, -2.0), np.ones(3), np.full(2, -2.0))
 
     @settings(max_examples=200, deadline=None)
     @given(system=_dominant_bands())
@@ -195,29 +204,36 @@ class TestForwardSolve:
         q = dr.GridFunction.sample(grids.space, np.sin)
         levels = list(dr.march(ex1_spec, q, grids))
 
-        # re-march assembling the matrix (and factorization) at every step
+        # re-march in w = D^-1 u assembling, scaling and factoring the matrix at every step
         x = grids.space.nodes
         tau = grids.time.tau
         u = dr.sample_on(ex1_spec.initial, x)
+        assert np.array_equal(u, levels[0])
         f_int = dr.sample_on(ex1_spec.source, x[1:-1])
+        w = None
         for n in range(1, grids.time.n_steps + 1):
-            bands = dr.assemble_step_matrix(ex1_spec, q, grids)
+            d, p, l = _ldl_factor(*dr.assemble_step_matrix(ex1_spec, q, grids))
+            if w is None:
+                w = u / d
             rhs = np.empty(x.size)
-            rhs[0] = _flux_row_scale(grids.space.h) * ex1_spec.left_flux
-            rhs[1:-1] = u[1:-1] / tau + f_int
-            rhs[-1] = ex1_spec.right_flux(grids.time.times[n])
-            u = _band_solve(*bands, rhs)
-            assert np.array_equal(u, levels[n])
+            rhs[0] = -ex1_spec.left_flux
+            rhs[1:-1] = w[1:-1] / tau + f_int / d[1:-1]
+            rhs[-1] = ex1_spec.right_flux(grids.time.times[n]) / d[-1]
+            w = dpttrs(p, l, rhs)[0]
+            assert np.array_equal(w * d, levels[n])
 
     @settings(max_examples=60, deadline=None)
-    @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-0.5, 0.5),
-           a1=st.floats(0.0, 0.6), phase=st.floats(0.0, 2.0 * np.pi))
+    @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-1.0, 1.0),
+           a1=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi))
+    @example(m=40, n_steps=5, a0=1.0, a1=0.0, phase=0.0)  # |q| h = 1.99: d grows by ~20 a node
+    @example(m=40, n_steps=5, a0=-1.0, a1=0.0, phase=0.0)  # and shrinks by ~20 a node
     def test_march_matches_reference_march(self, ex1_spec, thomas_reference, m, n_steps,
                                            a0, a1, phase):
-        # |q| + |q'| <= 0.5 + 0.6 (1 + 2 pi) < C_p = 5: admissible drifts
+        # q = (1.99/h) v with |v| <= 1: every drift with |q| h <= 1.99, not only admissible ones
         grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
         x = grids.space.nodes
-        q = dr.GridFunction(grids.space, a0 + a1 * np.sin(2.0 * np.pi * x + phase))
+        v = (a0 + a1 * np.sin(2.0 * np.pi * x + phase)) / max(1.0, abs(a0) + a1)
+        q = dr.GridFunction(grids.space, (1.99 / grids.space.h) * v)
         levels = list(dr.march(ex1_spec, q, grids))
 
         factor, apply = thomas_reference
@@ -228,50 +244,30 @@ class TestForwardSolve:
         times = grids.time.times
         for n in range(1, n_steps + 1):
             rhs = np.empty(x.size)
-            rhs[0] = _flux_row_scale(grids.space.h) * ex1_spec.left_flux
+            rhs[0] = -ex1_spec.left_flux
             rhs[1:-1] = u[1:-1] / grids.time.tau + f_int
             rhs[-1] = ex1_spec.right_flux(times[n])
             u = apply(fac, rhs)
             assert np.max(np.abs(levels[n] - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-1.0, 1.0),
-           a1=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi))
-    @example(m=4, n_steps=3, a0=1.0, a1=0.0, phase=0.0)  # |q| h = 2: |diag[0]| = |lower[0]|
-    @example(m=10, n_steps=5, a0=-1.0, a1=0.0, phase=0.0)  # lower[0] = 0
-    def test_scaled_flux_row_matches_pre_eliminated_march(self, ex1_spec,
-                                                          pre_eliminated_reference, m,
-                                                          n_steps, a0, a1, phase):
-        # q = (2/h) w with |w| <= 1: every drift with |q| h <= 2, not only admissible ones
-        grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
-        x = grids.space.nodes
-        w = (a0 + a1 * np.sin(2.0 * np.pi * x + phase)) / max(1.0, abs(a0) + a1)
-        q = dr.GridFunction(grids.space, (2.0 / grids.space.h) * w)
-        ipiv = dgttrf(*dr.assemble_step_matrix(ex1_spec, q, grids))[4]
-        assert ipiv[0] == 1  # no row-0 interchange
-        levels = list(dr.march(ex1_spec, q, grids))
-        reference = pre_eliminated_reference(ex1_spec, q, grids)
-        for level, ref in zip(levels, reference, strict=True):
-            assert np.array_equal(level, ref)
-
-    def test_row_0_interchange_beyond_the_drift_bound(self, ex1_spec, dense_solve):
-        # q h = 5 > 2: |lower[0]| = 350 exceeds |diag[0]| = 320, so dgttrf swaps rows 0 and 1
+    def test_drift_beyond_the_bound_raises(self, ex1_spec):
         grids = dr.build_grids(10, 10, 1.0)
-        h, tau = grids.space.h, grids.time.tau
+        h = grids.space.h
+        # q h = 5 > 2: the upper entry of row 1 is positive
         q = dr.GridFunction.sample(grids.space, _constant(5.0 / h))
-        lower, diag, upper = dr.assemble_step_matrix(ex1_spec, q, grids)
-        assert dgttrf(lower, diag, upper)[4][0] == 2
-        u0, u1 = list(dr.march(ex1_spec, q, grids))[:2]
-
-        a = _dense_from_bands(lower, diag, upper)
-        a[0, :2] = (-1.0 / h, 1.0 / h)  # the unscaled flux row
-        x = grids.space.nodes
-        rhs = u0 / tau
-        rhs[1:-1] += dr.sample_on(ex1_spec.source, x[1:-1])
-        rhs[0] = ex1_spec.left_flux
-        rhs[-1] = ex1_spec.right_flux(tau)
-        u_ref = dense_solve(a, rhs)
-        assert np.max(np.abs(u1 - u_ref)) <= 1e-12 * max(1.0, np.max(np.abs(u_ref)))
+        with pytest.raises(SingularSystemError, match=r"\|q\| h >= 2 at node 1\)"):
+            dr.solve_forward(ex1_spec, q, grids)
+        # q h = -2 at node 4 alone: the lower entry of row 4 rounds to 1.4e-14 >= 0
+        values = np.zeros(11)
+        values[4] = -2.0 / h
+        with pytest.raises(SingularSystemError, match=r"\|q\| h >= 2 at node 4\)"):
+            dr.solve_forward(ex1_spec, dr.GridFunction(grids.space, values), grids)
+        # |q| h = 1.99 on 400 nodes: d grows or shrinks by ~20 a node, past the float range
+        grids = dr.build_grids(400, 1, 1.0)
+        for sign in (1.0, -1.0):
+            q = dr.GridFunction.sample(grids.space, _constant(sign * 1.99 / grids.space.h))
+            with pytest.raises(SingularSystemError, match="d is not finite and positive"):
+                dr.solve_forward(ex1_spec, q, grids)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-0.5, 0.5),
@@ -384,10 +380,10 @@ class TestForwardSolve:
 
             u0 = dr.sample_on(spec.initial, grids.space.nodes)
             rhs = np.empty(m + 1)
-            rhs[0] = _flux_row_scale(grids.space.h) * spec.left_flux
+            rhs[0] = -spec.left_flux  # the right-hand side of the flux row (1/h, -1/h)
             rhs[1:-1] = u0[1:-1] / grids.time.tau + dr.sample_on(spec.source, grids.space.nodes[1:-1])
             rhs[-1] = spec.right_flux(grids.time.tau)
-            assert np.all(rhs >= 0.0) and np.all(u0 >= 0.0)
+            assert np.all(rhs[1:] >= 0.0) and np.all(u0 >= 0.0)
             step = _band_solve(lower, diag, upper, rhs)
             assert np.all(step >= 0.0)
 
