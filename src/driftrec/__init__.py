@@ -31,7 +31,6 @@ from .forward import (
     FinalLevels,
     assemble_step_matrix,
     final_time_derivative,
-    march,
     solve_forward,
 )
 from .inversion import (
@@ -86,7 +85,6 @@ __all__ = [
     "validate_assumptions",
     "assemble_step_matrix",
     "FinalLevels",
-    "march",
     "solve_forward",
     "final_time_derivative",
     "IterationConfig",

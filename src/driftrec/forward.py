@@ -17,23 +17,20 @@ factors it once as L diag(p) L^T with LAPACK `dpttrf` and marches in
 w = D^-1 u, one `dpttrs` per step in place on that step's fresh
 right-hand side.  Only the levels that are read are multiplied back by D.
 
-`march` yields every level u^0, ..., u^N and holds only the current one.
-Whatever does not change from step to step is computed once per solve: d,
-the factors, the source row divided by d (f depends on x only), b[0] = -b1
-and the time levels as Python floats.  A step is then
-`b = w/tau; b += f/d`, two scalar stores (b[0], b[m] = b2/d_m), one
-`dpttrs` and one finiteness check.
+`solve_forward` is the one time loop.  Whatever does not change from step
+to step is computed once per solve: d, the factors, the source row divided
+by d (f depends on x only), b[0] = -b1 and the right flux over d_m at every
+time level, sampled in one call.  A step is then `b = w/tau; b += f/d`, two
+scalar stores, one `dpttrs` and one finiteness check.
 
 The inversion reads the solution only at the final time (g = u^N,
-u_t ~ (u^N - u^{N-1})/tau), so `solve_forward` keeps just the last two
-levels and unscales only those: memory is O(m), not O(nm).
+u_t ~ (u^N - u^{N-1})/tau), so the loop holds just the current and the
+previous level and unscales only those: memory is O(m), not O(nm).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +63,10 @@ def assemble_step_matrix(
     if drift.grid != space:
         raise ConfigurationError(
             f"drift lives on an m={drift.grid.m} grid but grids.space has m={space.m}"
+        )
+    if time.horizon != spec.horizon:
+        raise ConfigurationError(
+            f"grids.time ends at T={time.horizon!r} but the problem's horizon is {spec.horizon!r}"
         )
     m = space.m
     h = space.h
@@ -125,7 +126,7 @@ class FinalLevels:
 
     `values` has shape (2, m+1): row 0 is u^{N-1} (u^0 when n_steps = 1)
     and row 1 is u^N.  The array is not copied, only viewed read-only, and
-    not checked for finiteness: the march checks every level it solves for.
+    not checked for finiteness: `solve_forward` checks every level it solves for.
     """
 
     grids: GridPair
@@ -141,67 +142,32 @@ class FinalLevels:
         object.__setattr__(self, "values", vals)
 
 
-def _start(spec: ProblemSpec, drift: GridFunction, grids: GridPair):
-    """Factor the step matrix, then sample u^0: returns (d, p, l) and u^0."""
-    factors = _ldl_factor(*assemble_step_matrix(spec, drift, grids))
-    # a copy: the callable may return an array it keeps
-    u = np.array(sample_on(spec.initial, grids.space.nodes))
-    if not np.all(np.isfinite(u)):
-        raise ConfigurationError("initial condition sampled to non-finite values")
-    return factors, u
-
-
-def _scaled_steps(
-    spec: ProblemSpec, grids: GridPair, factors, u0: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Yield w^1, ..., w^N, w = D^-1 u, each a fresh array that `dpttrs`
-    wrote in place of its right-hand side."""
-    d, p, l = factors
+def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> FinalLevels:
+    """March the implicit scheme from the sampled initial condition to T,
+    keeping only the last two levels; u^{N-1} is u^0 itself when n_steps = 1."""
+    d, p, l = _ldl_factor(*assemble_step_matrix(spec, drift, grids))
     x = grids.space.nodes
     tau = grids.time.tau
+    u0 = sample_on(spec.initial, x)
+    if not np.all(np.isfinite(u0)):
+        raise ConfigurationError("initial condition sampled to non-finite values")
     f_d = np.zeros(x.size)  # the source row over d; b's boundary entries are overwritten
     f_d[1:-1] = sample_on(spec.source, x[1:-1]) / d[1:-1]
+    right_d = (sample_on(spec.right_flux, grids.time.times[1:]) / d[-1]).tolist()
     left_flux = -float(spec.left_flux)
-    d_m = float(d[-1])
     weights = np.full(x.size, _CHECK_WEIGHT)
 
-    w = u0 / d
-    for n, t_n in enumerate(grids.time.times.tolist()[1:], start=1):
+    w_prev = w = u0 / d
+    for n, right in enumerate(right_d, start=1):
         b = w / tau
         b += f_d
         b[0] = left_flux
-        b[-1] = float(spec.right_flux(t_n)) / d_m
-        w = dpttrs(p, l, b, overwrite_b=1)[0]
+        b[-1] = right
+        w_prev, w = w, dpttrs(p, l, b, overwrite_b=1)[0]
         if not math.isfinite(w.dot(weights)):
             raise NumericalError(f"forward solution became non-finite at step {n}")
-        yield w
-
-
-def march(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Iterator[np.ndarray]:
-    """Yield the levels u^0, u^1, ..., u^N of the implicit scheme.
-
-    Each level is a fresh read-only array of length m+1, so a caller that
-    keeps a level is never aliased by the next step; u^0 is the sampled
-    initial condition itself and each later level is d * w.
-    """
-    factors, u = _start(spec, drift, grids)
-    u.setflags(write=False)
-    yield u
-    d = factors[0]
-    for w in _scaled_steps(spec, grids, factors, u):
-        u = w * d
-        u.setflags(write=False)
-        yield u
-
-
-def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> FinalLevels:
-    """March the implicit scheme from the sampled initial condition to T,
-    keeping only the last two levels: those of `march`, bit for bit."""
-    factors, u0 = _start(spec, drift, grids)
-    d = factors[0]
-    last = deque(_scaled_steps(spec, grids, factors, u0), maxlen=2)
-    prev = last[0] * d if len(last) == 2 else u0
-    return FinalLevels(grids, np.stack([prev, last[-1] * d]))
+    prev = u0 if grids.time.n_steps == 1 else w_prev * d
+    return FinalLevels(grids, np.stack([prev, w * d]))
 
 
 def final_time_derivative(field: FinalLevels) -> GridFunction:

@@ -42,10 +42,12 @@ def test_criterion_1_steady_state_exactness():
     start = time.perf_counter()
     spec = dr.ProblemSpec(source=_constant(5.0), potential=5.0, initial=_constant(1.0),
                           left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
-    grids = dr.build_grids(100, 100, 1.0)
-    q = dr.GridFunction.sample(grids.space, _constant(0.0))
-    levels = np.array(list(dr.march(spec, q, grids)))
-    dev = float(np.max(np.abs(levels - 1.0)))
+    space = dr.SpatialGrid(100)
+    q = dr.GridFunction.sample(space, _constant(0.0))
+    dev = 0.0
+    for n_steps in range(1, 101):  # the last two levels of each: every level of 100 steps
+        field = dr.solve_forward(spec, q, dr.build_grids(100, n_steps, 1.0))
+        dev = max(dev, float(np.max(np.abs(field.values - 1.0))))
     assert dev <= 1e-12
     _report(1, f"steady state reproduced, max deviation {dev:.2e}",
             time.perf_counter() - start, 1.0)
@@ -140,19 +142,22 @@ def test_criterion_7_kinked_reconstruction(name, kinks):
             time.perf_counter() - start, 10.0)
 
 
-@pytest.mark.parametrize("level", [0.01, 0.03])
+@pytest.mark.parametrize("level", [0.003, 0.01, 0.03])
 def test_criterion_8_mollification_necessity(level):
     start = time.perf_counter()
     smooth = dr.run_experiment(dr.make_preset("ex3e", noise_level=level, seed=7, mollify=True))
     raw = dr.run_experiment(dr.make_preset("ex3e", noise_level=level, seed=7, mollify=False))
     assert smooth.status == "ok"
+    if level == 0.003:
+        # the one level where the raw pipeline runs through, so the ratio gate is reached
+        assert raw.status == "ok"
     if raw.status == "ok":
         ratio = raw.metrics["rel_l2"] / smooth.metrics["rel_l2"]
         assert ratio >= 3.0
         detail = f"error ratio without/with mollification {ratio:.1f}"
     else:
         detail = f"raw pipeline failed as expected ({raw.error})"
-    _report(8, f"noise {level:.0%}: {detail}", time.perf_counter() - start, 60.0)
+    _report(8, f"noise {level:.1%}: {detail}", time.perf_counter() - start, 60.0)
 
 
 def test_criterion_9_banded_tikhonov_against_dense_oracle(dense_solve):

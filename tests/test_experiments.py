@@ -337,3 +337,8 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
     assert (tmp_path / "runs" / "ex1a" / "trace.json").exists()
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in dr.__all__ if not hasattr(dr, name)]
+    assert missing == []

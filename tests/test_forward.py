@@ -24,8 +24,9 @@ def _dense_from_bands(lower, diag, upper):
 
 
 def _band_solve(lower, diag, upper, rhs):
-    """Solve M x = rhs on the bands of M as `march` does: factor S = D^-1 M D
-    with `_ldl_factor`, apply one `dpttrs` to D^-1 rhs and multiply back by D."""
+    """Solve M x = rhs on the bands of M as a `solve_forward` step does: factor
+    S = D^-1 M D with `_ldl_factor`, apply one `dpttrs` to D^-1 rhs and multiply
+    back by D."""
     d, p, l = _ldl_factor(lower, diag, upper)
     return d * dpttrs(p, l, np.asarray(rhs, dtype=float) / d)[0]
 
@@ -97,6 +98,11 @@ class TestAssembly:
         q = dr.GridFunction.sample(dr.SpatialGrid(12), _constant(0.0))
         with pytest.raises(ConfigurationError, match="grid"):
             dr.assemble_step_matrix(spec, q, grids)
+        # grids that stop at T = 0.5 for a problem with T = 1
+        short = dr.build_grids(10, 10, 0.5)
+        q = dr.GridFunction.sample(short.space, _constant(0.0))
+        with pytest.raises(ConfigurationError, match="horizon"):
+            dr.assemble_step_matrix(spec, q, short)
 
     def test_assembly_is_bitwise_reproducible(self):
         spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(0.0),
@@ -164,17 +170,17 @@ class TestForwardSolve:
     def test_constant_steady_state(self):
         spec = dr.ProblemSpec(source=_constant(5.0), potential=5.0, initial=_constant(1.0),
                               left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
-        grids = dr.build_grids(25, 25, 1.0)
-        q = dr.GridFunction.sample(grids.space, _constant(0.0))
-        levels = np.array(list(dr.march(spec, q, grids)))
-        assert np.max(np.abs(levels - 1.0)) <= 1e-12
+        space = dr.SpatialGrid(25)
+        q = dr.GridFunction.sample(space, _constant(0.0))
+        for n_steps in range(1, 26):  # the last two levels of each: every level of 25 steps
+            field = dr.solve_forward(spec, q, dr.build_grids(25, n_steps, 1.0))
+            assert np.max(np.abs(field.values - 1.0)) <= 1e-12
 
     def test_initial_row_is_sampled_initial_condition(self, ex1_spec):
-        grids = dr.build_grids(20, 5, 1.0)
+        grids = dr.build_grids(20, 1, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        levels = list(dr.march(ex1_spec, q, grids))
-        assert len(levels) == grids.time.n_steps + 1
-        assert np.array_equal(levels[0], np.sin(np.pi * grids.space.nodes))
+        field = dr.solve_forward(ex1_spec, q, grids)
+        assert np.array_equal(field.values[0], np.sin(np.pi * grids.space.nodes))
 
     def test_reference_setup_spatial_slope_positive(self, ex1_spec):
         grids = dr.build_grids(100, 100, 1.0)
@@ -194,23 +200,22 @@ class TestForwardSolve:
     def test_scalar_source_matches_vectorized_constant(self, ex1_spec):
         grids = dr.build_grids(20, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        scalar = list(dr.march(replace(ex1_spec, source=lambda x: 10.0), q, grids))
-        vector = list(dr.march(replace(ex1_spec, source=_constant(10.0)), q, grids))
-        for a, b in zip(scalar, vector, strict=True):
-            assert np.array_equal(a, b)
+        scalar = dr.solve_forward(replace(ex1_spec, source=lambda x: 10.0), q, grids)
+        vector = dr.solve_forward(replace(ex1_spec, source=_constant(10.0)), q, grids)
+        assert np.array_equal(scalar.values, vector.values)
 
     def test_cached_factorization_matches_per_step_assembly(self, ex1_spec):
         grids = dr.build_grids(20, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        levels = list(dr.march(ex1_spec, q, grids))
+        field = dr.solve_forward(ex1_spec, q, grids)
 
         # re-march in w = D^-1 u assembling, scaling and factoring the matrix at every step
         x = grids.space.nodes
         tau = grids.time.tau
         u = dr.sample_on(ex1_spec.initial, x)
-        assert np.array_equal(u, levels[0])
         f_int = dr.sample_on(ex1_spec.source, x[1:-1])
         w = None
+        levels = [u]
         for n in range(1, grids.time.n_steps + 1):
             d, p, l = _ldl_factor(*dr.assemble_step_matrix(ex1_spec, q, grids))
             if w is None:
@@ -220,35 +225,41 @@ class TestForwardSolve:
             rhs[1:-1] = w[1:-1] / tau + f_int / d[1:-1]
             rhs[-1] = ex1_spec.right_flux(grids.time.times[n]) / d[-1]
             w = dpttrs(p, l, rhs)[0]
-            assert np.array_equal(w * d, levels[n])
+            levels.append(w * d)
+        assert np.array_equal(field.values, np.array(levels[-2:]))
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-1.0, 1.0),
            a1=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi))
     @example(m=40, n_steps=5, a0=1.0, a1=0.0, phase=0.0)  # |q| h = 1.99: d grows by ~20 a node
     @example(m=40, n_steps=5, a0=-1.0, a1=0.0, phase=0.0)  # and shrinks by ~20 a node
-    def test_march_matches_reference_march(self, ex1_spec, thomas_reference, m, n_steps,
-                                           a0, a1, phase):
+    @example(m=3, n_steps=1, a0=0.0, a1=0.3, phase=0.0)  # the previous level is u^0
+    def test_solve_forward_matches_reference_march(self, ex1_spec, thomas_reference, m,
+                                                   n_steps, a0, a1, phase):
         # q = (1.99/h) v with |v| <= 1: every drift with |q| h <= 1.99, not only admissible ones
         grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
         x = grids.space.nodes
         v = (a0 + a1 * np.sin(2.0 * np.pi * x + phase)) / max(1.0, abs(a0) + a1)
         q = dr.GridFunction(grids.space, (1.99 / grids.space.h) * v)
-        levels = list(dr.march(ex1_spec, q, grids))
+        field = dr.solve_forward(ex1_spec, q, grids)
+        assert not field.values.flags.writeable
 
         factor, apply = thomas_reference
         fac = factor(*dr.assemble_step_matrix(ex1_spec, q, grids))
-        u = dr.sample_on(ex1_spec.initial, x)
-        assert np.array_equal(u, levels[0])
+        u0 = dr.sample_on(ex1_spec.initial, x)
         f_int = dr.sample_on(ex1_spec.source, x[1:-1])
         times = grids.time.times
+        levels = [u0]
         for n in range(1, n_steps + 1):
             rhs = np.empty(x.size)
             rhs[0] = -ex1_spec.left_flux
-            rhs[1:-1] = u[1:-1] / grids.time.tau + f_int
+            rhs[1:-1] = levels[-1][1:-1] / grids.time.tau + f_int
             rhs[-1] = ex1_spec.right_flux(times[n])
-            u = apply(fac, rhs)
-            assert np.max(np.abs(levels[n] - u)) <= 1e-10 * max(1.0, np.max(np.abs(u)))
+            levels.append(apply(fac, rhs))
+        for got, ref in zip(field.values, levels[-2:], strict=True):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+        if n_steps == 1:
+            assert np.array_equal(field.values[0], u0)
 
     def test_drift_beyond_the_bound_raises(self, ex1_spec):
         grids = dr.build_grids(10, 10, 1.0)
@@ -268,28 +279,6 @@ class TestForwardSolve:
             q = dr.GridFunction.sample(grids.space, _constant(sign * 1.99 / grids.space.h))
             with pytest.raises(SingularSystemError, match="d is not finite and positive"):
                 dr.solve_forward(ex1_spec, q, grids)
-
-    @settings(max_examples=60, deadline=None)
-    @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-0.5, 0.5),
-           a1=st.floats(0.0, 0.6), phase=st.floats(0.0, 2.0 * np.pi))
-    @example(m=3, n_steps=1, a0=0.0, a1=0.3, phase=0.0)  # previous level is u^0
-    def test_solve_forward_keeps_last_two_levels_of_march(self, ex1_spec, m, n_steps, a0, a1,
-                                                          phase):
-        grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
-        q = dr.GridFunction(grids.space,
-                            a0 + a1 * np.sin(2.0 * np.pi * grids.space.nodes + phase))
-        levels = list(dr.march(ex1_spec, q, grids))
-        field = dr.solve_forward(ex1_spec, q, grids)
-        assert np.array_equal(field.values, np.array(levels[-2:]))
-        assert not field.values.flags.writeable
-
-    def test_march_levels_are_fresh_read_only_arrays(self, ex1_spec):
-        grids = dr.build_grids(10, 4, 1.0)
-        q = dr.GridFunction.sample(grids.space, np.sin)
-        levels = list(dr.march(ex1_spec, q, grids))
-        for a, b in zip(levels, levels[1:]):
-            assert not np.shares_memory(a, b)
-        assert not any(level.flags.writeable for level in levels)
 
     def test_memory_is_linear_in_m(self, ex1_spec):
         # the stored field would take (n + 1)(m + 1) * 8 B = 5.1 MB
@@ -311,16 +300,12 @@ class TestForwardSolve:
         grids = dr.build_grids(10, 10, 1.0)
         tau = grids.time.tau
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
-        # a bad right flux from t = 2 tau on: two levels come out before the error
+        # a bad right flux from t = 2 tau on: step 1 is finite, step 2 is not
         spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(1.0),
                               left_flux=0.0, right_flux=lambda t: bad if t > 1.5 * tau else 0.0,
                               horizon=1.0)
         with pytest.raises(NumericalError, match="non-finite at step 2"):
             dr.solve_forward(spec, q, grids)
-        levels = dr.march(spec, q, grids)
-        assert len([next(levels), next(levels)]) == 2
-        with pytest.raises(NumericalError, match="non-finite at step 2"):
-            next(levels)
 
         # a bad source value at any interior node spoils the first step
         def source(x):

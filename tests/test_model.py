@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,12 +116,13 @@ class TestSampleOn:
 
         with pytest.raises(ConfigurationError, match=r"pair must give one value per point.*\(5, 2\)"):
             dr.sample_on(pair, np.linspace(0.0, 1.0, 5))
-        spec = dr.ProblemSpec(source=lambda x: 10.0, potential=5.0, initial=pair, left_flux=1.0,
-                              right_flux=lambda t: 1.0 + t, horizon=1.0)
+        spec = dr.ProblemSpec(source=lambda x: 10.0, potential=5.0, initial=np.sin,
+                              left_flux=1.0, right_flux=lambda t: 1.0 + t, horizon=1.0)
         grids = dr.build_grids(20, 20, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        with pytest.raises(ConfigurationError, match="pair"):
-            dr.solve_forward(spec, q, grids)
+        for bad in (replace(spec, initial=pair), replace(spec, right_flux=pair)):
+            with pytest.raises(ConfigurationError, match="pair"):
+                dr.solve_forward(bad, q, grids)
 
 
 class TestGridFunction:
