@@ -54,7 +54,6 @@ from .mollify import (
     solve_tikhonov,
 )
 from .experiments import (
-    FORMATS,
     PRESET_NAMES,
     ExperimentPreset,
     ResultBundle,
@@ -106,7 +105,6 @@ __all__ = [
     "ExperimentPreset",
     "ResultBundle",
     "PRESET_NAMES",
-    "FORMATS",
     "make_preset",
     "synthesize",
     "mollify_data",

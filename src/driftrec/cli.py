@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .experiments import (
-    FORMATS,
     PRESET_NAMES,
     csv_lines,
     make_preset,
@@ -78,14 +77,6 @@ def _preset_from_args(args, **fixed):
     return preset
 
 
-def _formats_from_args(args) -> tuple[str, ...]:
-    fmts = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    for f in fmts:
-        if f not in FORMATS:
-            raise ConfigurationError(f"unknown format {f!r}; expected subset of {FORMATS}")
-    return fmts
-
-
 def cmd_forward(args) -> int:
     preset = _preset_from_args(args)
     m, n = preset.solver_grid
@@ -142,13 +133,13 @@ def _report_bundle(bundle) -> int:
 
 
 def cmd_invert(args) -> int:
-    bundle = run_experiment(_preset_from_args(args), args.out, _formats_from_args(args))
+    bundle = run_experiment(_preset_from_args(args), args.out)
     return _report_bundle(bundle)
 
 
 def cmd_experiment(args) -> int:
     out = args.out if args.out is not None else Path("runs") / args.preset
-    bundle = run_experiment(_preset_from_args(args), out, _formats_from_args(args))
+    bundle = run_experiment(_preset_from_args(args), out)
     code = _report_bundle(bundle)
     print(f"outputs in {out}")
     return code
@@ -156,13 +147,13 @@ def cmd_experiment(args) -> int:
 
 def cmd_suite(args) -> int:
     out_root = args.out if args.out is not None else Path("runs")
-    results = run_suite(out_root, _formats_from_args(args), **_overrides(args))
+    results = run_suite(out_root, **_overrides(args))
     codes = [_report_bundle(bundle) for bundle in results.values()]
     print(f"outputs in {out_root}")
     return max(codes)
 
 
-def _add_subcommand(sub, name, func, help_text, flags, *, preset=True, formats=True) -> None:
+def _add_subcommand(sub, name, func, help_text, flags, *, preset=True) -> None:
     p = sub.add_parser(name, help=help_text)
     if preset:
         p.add_argument("preset", help=f"preset name, one of: {', '.join(PRESET_NAMES)}")
@@ -170,9 +161,6 @@ def _add_subcommand(sub, name, func, help_text, flags, *, preset=True, formats=T
         # a flag left off the command line stays out of the namespace: the preset default holds
         p.add_argument(flag, default=argparse.SUPPRESS, **_PRESET_FLAGS[flag])
     p.add_argument("--out", type=Path, default=None, help="output directory")
-    if formats:
-        p.add_argument("--formats", default=",".join(FORMATS),
-                       help="comma-separated subset of csv,json,svg")
     p.set_defaults(func=func)
 
 
@@ -184,10 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_subcommand(sub, "forward", cmd_forward,
                     "solve the forward problem with the preset's true drift",
-                    ("--grid-m", "--grid-n"), formats=False)
+                    ("--grid-m", "--grid-n"))
     _add_subcommand(sub, "mollify", cmd_mollify, "synthesize noisy data and mollify it",
                     ("--grid-m", "--grid-n", "--refine", "--data-points", "--noise", "--lambda",
-                     "--seed"), formats=False)
+                     "--seed"))
     _add_subcommand(sub, "invert", cmd_invert, "run the full reconstruction, print metrics",
                     _PRESET_FLAGS)
     _add_subcommand(sub, "experiment", cmd_experiment,

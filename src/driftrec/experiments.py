@@ -47,7 +47,6 @@ from .mollify import (
 )
 from .svgplot import line_plot_svg
 
-FORMATS = ("csv", "json", "svg")
 PRESET_NAMES = ("ex1a", "ex1b", "ex2c", "ex2d", "ex3e", "ex3f")
 
 
@@ -273,15 +272,12 @@ def mollify_data(
     return g_star, record
 
 
-def run_experiment(
-    preset: ExperimentPreset,
-    out_dir: str | Path | None = None,
-    formats: tuple[str, ...] = FORMATS,
-) -> ResultBundle:
+def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) -> ResultBundle:
     """Execute generate -> (mollify) -> restrict -> invert -> metrics.
 
     Inversion failures (divergence, hopeless data) are captured into the
-    bundle rather than raised, so comparative runs can examine them.
+    bundle rather than raised, so comparative runs can examine them.  With
+    an `out_dir` the run also writes its four output files there.
     """
     spec = preset.spec
     m, n = preset.solver_grid
@@ -348,7 +344,7 @@ def run_experiment(
         provenance=provenance,
     )
     if out_dir is not None:
-        emit_outputs(bundle, out_dir, formats)
+        emit_outputs(bundle, out_dir)
     return bundle
 
 
@@ -366,79 +362,61 @@ def csv_lines(columns) -> list[str]:
     return [",".join(map(repr, row)) for row in zip(*cols)]
 
 
-def emit_outputs(
-    bundle: ResultBundle,
-    out_dir: str | Path,
-    formats: tuple[str, ...] = FORMATS,
-) -> list[Path]:
+def emit_outputs(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     """Write drift.csv, solution.csv, trace.json and figure-<preset>.svg.
 
-    All numbers are written with shortest round-trip formatting and stable
-    key ordering, so identical bundles produce identical bytes.
+    Returns their paths in that order.  All numbers are written with
+    shortest round-trip formatting and stable key ordering, so identical
+    bundles produce identical bytes.
     """
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise ConfigurationError(f"unknown output format {fmt!r}; expected subset of {FORMATS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
     grid = bundle.q_true_grid.grid
     x = grid.nodes
 
-    if "csv" in formats:
-        path = out / "drift.csv"
-        iterates = bundle.trace.iterates if bundle.trace is not None else []
-        header = ["x", "q_true"] + [f"q_{k}" for k in range(len(iterates))]
-        cols = [x, bundle.q_true_grid.values] + [it.values for it in iterates]
-        lines = [",".join(header)] + csv_lines(cols)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+    iterates = bundle.trace.iterates if bundle.trace is not None else []
+    header = ["x", "q_true"] + [f"q_{k}" for k in range(len(iterates))]
+    cols = [x, bundle.q_true_grid.values] + [it.values for it in iterates]
+    drift_csv = [",".join(header)] + csv_lines(cols)
 
-        path = out / "solution.csv"
-        g_exact = restrict(bundle.g_exact, grid).values
-        g_noisy = restrict(bundle.g_noisy, grid).values
-        g_moll = restrict(bundle.g_mollified, grid).values
-        lines = ["x,g_exact,g_noisy,g_mollified"] + csv_lines([x, g_exact, g_noisy, g_moll])
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+    g_exact = restrict(bundle.g_exact, grid).values
+    g_noisy = restrict(bundle.g_noisy, grid).values
+    g_moll = restrict(bundle.g_mollified, grid).values
+    solution_csv = ["x,g_exact,g_noisy,g_mollified"] + csv_lines([x, g_exact, g_noisy, g_moll])
 
-    if "json" in formats:
-        path = out / "trace.json"
-        doc = {
-            "status": bundle.status,
-            "error": bundle.error,
-            "provenance": bundle.provenance,
-            "iteration": bundle.trace.as_dict() if bundle.trace is not None else None,
-            "metrics": bundle.metrics,
-            "mollification": bundle.mollification,
-            "assumptions": bundle.assumptions.as_dict(),
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(path)
+    doc = {
+        "status": bundle.status,
+        "error": bundle.error,
+        "provenance": bundle.provenance,
+        "iteration": bundle.trace.as_dict() if bundle.trace is not None else None,
+        "metrics": bundle.metrics,
+        "mollification": bundle.mollification,
+        "assumptions": bundle.assumptions.as_dict(),
+    }
 
-    if "svg" in formats:
-        path = out / f"figure-{bundle.preset.name}.svg"
-        series = [("true drift", x, bundle.q_true_grid.values)]
-        if bundle.q_recovered is not None:
-            series.append(("recovered drift", x, bundle.q_recovered.values))
-        path.write_text(line_plot_svg(series, f"drift reconstruction: {bundle.preset.name}"),
-                        encoding="utf-8")
-        written.append(path)
+    series = [("true drift", x, bundle.q_true_grid.values)]
+    if bundle.q_recovered is not None:
+        series.append(("recovered drift", x, bundle.q_recovered.values))
 
+    texts = {
+        "drift.csv": "\n".join(drift_csv) + "\n",
+        "solution.csv": "\n".join(solution_csv) + "\n",
+        "trace.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
+        f"figure-{bundle.preset.name}.svg":
+            line_plot_svg(series, f"drift reconstruction: {bundle.preset.name}"),
+    }
+    written = [out / name for name in texts]
+    for path, text in zip(written, texts.values()):
+        path.write_text(text, encoding="utf-8")
     return written
 
 
-def run_suite(
-    out_root: str | Path,
-    formats: tuple[str, ...] = FORMATS,
-    **overrides,
-) -> dict[str, ResultBundle]:
+def run_suite(out_root: str | Path, **overrides) -> dict[str, ResultBundle]:
     """Run every preset, each into its own subdirectory of `out_root`.
 
     `overrides` are `make_preset` keywords applied to every preset.
     """
     return {
-        name: run_experiment(make_preset(name, **overrides), Path(out_root) / name, formats)
+        name: run_experiment(make_preset(name, **overrides), Path(out_root) / name)
         for name in PRESET_NAMES
     }

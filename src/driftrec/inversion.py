@@ -81,18 +81,17 @@ def data_terms(data: GridFunction, spec: ProblemSpec) -> tuple[GridFunction, np.
 
     Returns the upper-bound guess q0 = [f + g'' - C_p g] / g' on the data
     grid, the interior slopes g' with the positivity floor applied, and the
-    number of nodes that hit the floor.  Raises `DataQualityError` when
-    more than 20% of the interior slopes sit at the floor; data that rough
-    needs mollification first.
+    number of nodes that hit the floor.  Raises `DataQualityError` when no
+    interior slope is positive or more than 20% of them sit at the floor;
+    data that rough needs mollification first.
     """
     grid = data.grid
     slope = centered_first(data.values, grid.h)
     scale = float(np.max(slope))
     if scale <= 0.0:
-        # fully non-monotone data: keep the floor positive anyway
-        scale = float(np.max(np.abs(slope)))
-        if scale == 0.0:
-            scale = 1.0
+        # every slope would sit below any positive floor
+        raise DataQualityError("the data has no increasing interior slope; "
+                               "mollify it or check that it is final-time data")
     floor = _DENOM_FLOOR * scale
     hits = int(np.count_nonzero(slope < floor))
     slope = np.maximum(slope, floor)

@@ -185,6 +185,10 @@ def normal_equations(
 
 def _upper_bands(normal: scipy.sparse.spmatrix) -> np.ndarray:
     normal = normal.tocsr()
+    if scipy.sparse.triu(normal, 3).count_nonzero():
+        # the banded solver reads diagonals 0-2 only: a wider product would be cut silently
+        raise ConfigurationError("normal equations must be pentadiagonal: a product has a "
+                                 "nonzero above the second superdiagonal")
     bands = np.zeros((3, normal.shape[0]))
     bands[2] = normal.diagonal(0)
     bands[1, 1:] = normal.diagonal(1)

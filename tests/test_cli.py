@@ -9,6 +9,8 @@ import pytest
 import driftrec as dr
 from driftrec.cli import main
 
+_BUNDLE_FILES = ("drift.csv", "solution.csv", "trace.json", "figure-{preset}.svg")
+
 
 class TestExitCodes:
     def test_unknown_preset(self, capsys):
@@ -41,9 +43,6 @@ class TestExitCodes:
         assert "--seed 11 has no effect" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
-    def test_bad_format(self, capsys):
-        assert main(["experiment", "ex1a", "--formats", "csv,pdf"]) == 2
-
     def test_data_grid_coarser_than_solver_grid(self, capsys):
         assert main(["invert", "ex3e", "--data-points", "3"]) == 2
         assert "data_points" in capsys.readouterr().err
@@ -59,6 +58,8 @@ class TestExitCodes:
         ["forward", "ex1a", "--formats", "json"],
         ["mollify", "ex3e", "--no-mollify"],
         ["mollify", "ex3e", "--max-iter", "2"],
+        ["experiment", "ex1a", "--formats", "json"],
+        ["suite", "--formats", "json"],
     ])
     def test_flag_the_subcommand_does_not_read(self, argv, capsys):
         assert main(argv) == 2
@@ -111,19 +112,17 @@ class TestCommands:
         assert doc["mollification"]["lambda"] == 1e24
 
     def test_experiment_writes_bundle(self, tmp_path, capsys):
-        code = main(["experiment", "ex1b", "--data-points", "1001",
-                     "--out", str(tmp_path), "--formats", "csv,json"])
+        code = main(["experiment", "ex1b", "--data-points", "1001", "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "drift.csv").exists()
-        assert (tmp_path / "trace.json").exists()
-        assert not (tmp_path / "figure-ex1b.svg").exists()
+        for name in _BUNDLE_FILES:
+            assert (tmp_path / name.format(preset="ex1b")).exists()
 
     def test_suite(self, tmp_path, capsys):
-        code = main(["suite", "--data-points", "1001", "--seed", "5", "--out", str(tmp_path),
-                     "--formats", "json"])
+        code = main(["suite", "--data-points", "1001", "--seed", "5", "--out", str(tmp_path)])
         assert code == 0
         for name in ("ex1a", "ex1b", "ex2c", "ex2d", "ex3e", "ex3f"):
-            assert (tmp_path / name / "trace.json").exists()
+            for file in _BUNDLE_FILES:
+                assert (tmp_path / name / file.format(preset=name)).exists()
             provenance = json.loads((tmp_path / name / "trace.json").read_text())["provenance"]
             assert provenance["data_points"] == 1001
         assert json.loads((tmp_path / "ex3e" / "trace.json").read_text())["provenance"]["seed"] == 5

@@ -255,10 +255,12 @@ class TestEmitOutputs:
         polylines = tree.getroot().findall(f".//{ns}polyline")
         assert len(polylines) == 2  # true and recovered drift
 
-    def test_unknown_format_rejected(self, bundle_dir):
-        bundle, out = bundle_dir
-        with pytest.raises(ConfigurationError, match="format"):
-            dr.emit_outputs(bundle, out, formats=("pdf",))
+    def test_writes_the_four_files(self, bundle_dir, tmp_path):
+        bundle, _ = bundle_dir
+        written = dr.emit_outputs(bundle, tmp_path)
+        names = ["drift.csv", "solution.csv", "trace.json", "figure-ex3e.svg"]
+        assert written == [tmp_path / name for name in names]
+        assert sorted(tmp_path.iterdir()) == sorted(written)
 
     def test_failed_run_still_emits(self, tmp_path):
         preset = dr.make_preset("ex3e", noise_level=0.5, seed=3, mollify=False)
@@ -301,14 +303,14 @@ class TestDeterminism:
         preset = dr.make_preset("ex3e", data_points=2001)
         dr.run_experiment(preset, out_dir=tmp_path / "a")
         dr.run_experiment(preset, out_dir=tmp_path / "b")
-        for name in ("drift.csv", "solution.csv", "trace.json"):
+        for name in ("drift.csv", "solution.csv", "trace.json", "figure-ex3e.svg"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestSuite:
     def test_all_presets_complete(self, tmp_path):
         start = time.perf_counter()
-        results = dr.run_suite(tmp_path, formats=("json",))
+        results = dr.run_suite(tmp_path)
         assert time.perf_counter() - start < 300.0
         assert set(results) == set(dr.PRESET_NAMES)
         for name, bundle in results.items():
@@ -316,7 +318,7 @@ class TestSuite:
             assert (tmp_path / name / "trace.json").exists()
 
     def test_overrides_reach_every_preset(self, tmp_path):
-        results = dr.run_suite(tmp_path, formats=("json",), data_points=1001)
+        results = dr.run_suite(tmp_path, data_points=1001)
         assert set(results) == set(dr.PRESET_NAMES)
         for name, bundle in results.items():
             assert bundle.preset.data_points == 1001

@@ -47,6 +47,14 @@ class TestInitialDrift:
         with pytest.raises(DataQualityError, match="mollif"):
             dr.data_terms(g, _linear_data_spec())
 
+    @pytest.mark.parametrize("values", [lambda x: np.full_like(x, 2.0), lambda x: 1.0 - x**2],
+                             ids=["constant", "decreasing"])
+    def test_no_increasing_slope_raises(self, values):
+        grid = dr.SpatialGrid(20)
+        g = dr.GridFunction(grid, values(grid.nodes))
+        with pytest.raises(DataQualityError, match="no increasing interior slope.*mollif"):
+            dr.data_terms(g, _linear_data_spec())
+
 
 class TestDriftUpdate:
     def test_bounded_by_initial_guess(self, ex1_setup):

@@ -278,6 +278,16 @@ class TestSolveTikhonov:
         with pytest.raises(IllPosedError):
             dr.solve_tikhonov(zero, zero, np.ones(4), 0.0)
 
+    def test_wider_than_pentadiagonal_rejected(self):
+        # a third-difference penalty: R^T R has a nonzero on the third superdiagonal,
+        # which the banded solve would drop (2.1e-2 off the dense solve at lambda 1e-2)
+        n = 12
+        design = dr.build_design_matrix(n)
+        penalty = scipy.sparse.diags([-1.0, 3.0, -3.0, 1.0], [0, 1, 2, 3], shape=(n - 3, n))
+        g_tilde = np.random.default_rng(5).standard_normal(n)
+        with pytest.raises(ConfigurationError, match="pentadiagonal"):
+            dr.solve_tikhonov(design, penalty, g_tilde, 1e-2)
+
     def test_negative_lambda_rejected(self):
         design = dr.build_design_matrix(4)
         penalty = dr.build_regularization_matrix(4)
