@@ -17,7 +17,6 @@ from .errors import (
     SingularSystemError,
 )
 from .model import (
-    AssumptionReport,
     GridFunction,
     GridPair,
     ProblemSpec,
@@ -27,12 +26,7 @@ from .model import (
     sample_on,
     validate_assumptions,
 )
-from .forward import (
-    FinalLevels,
-    assemble_step_matrix,
-    final_time_derivative,
-    solve_forward,
-)
+from .forward import assemble_step_matrix, solve_forward
 from .inversion import (
     IterationConfig,
     IterationTrace,
@@ -78,14 +72,11 @@ __all__ = [
     "GridPair",
     "ProblemSpec",
     "GridFunction",
-    "AssumptionReport",
     "build_grids",
     "sample_on",
     "validate_assumptions",
     "assemble_step_matrix",
-    "FinalLevels",
     "solve_forward",
-    "final_time_derivative",
     "IterationConfig",
     "IterationTrace",
     "data_terms",

@@ -82,8 +82,7 @@ def cmd_forward(args) -> int:
     m, n = preset.solver_grid
     grids = build_grids(m, n, preset.spec.horizon)
     q_true = GridFunction.sample(grids.space, preset.q_true)
-    field = solve_forward(preset.spec, q_true, grids)
-    g = field.values[-1]
+    g, _ = solve_forward(preset.spec, q_true, grids)
     print(f"forward {preset.name}: grid {m}x{n}, "
           f"u(.,T) in [{np.min(g):.6g}, {np.max(g):.6g}]")
     if args.out is not None:

@@ -15,6 +15,7 @@ recorded provenance.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -25,13 +26,7 @@ from . import __version__
 from .errors import ConfigurationError, DataQualityError, DivergenceError
 from .forward import solve_forward
 from .inversion import IterationConfig, IterationTrace, error_metrics, run_iteration
-from .model import (
-    AssumptionReport,
-    GridFunction,
-    ProblemSpec,
-    build_grids,
-    validate_assumptions,
-)
+from .model import GridFunction, ProblemSpec, build_grids, validate_assumptions
 from .mollify import (
     NoiseSpec,
     TikhonovConfig,
@@ -113,6 +108,10 @@ class ExperimentPreset:
     tikhonov: TikhonovConfig
 
     def __post_init__(self):
+        if not self.name or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+            # the name is part of a file name in the run's output set
+            raise ConfigurationError(f"preset name must be non-empty without a path separator, "
+                                     f"got {self.name!r}")
         r = self.data_grid_refinement
         if not isinstance(r, (int, np.integer)) or r < 1:
             raise ConfigurationError(f"data_grid_refinement must be an integer >= 1, got {r!r}")
@@ -210,7 +209,7 @@ class ResultBundle:
     g_noisy: np.ndarray
     g_mollified: np.ndarray
     mollification: dict | None
-    assumptions: AssumptionReport
+    assumptions: dict
     provenance: dict
 
 
@@ -225,8 +224,7 @@ def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray]:
     r = preset.data_grid_refinement
     fine = build_grids(m * r, n * r, preset.spec.horizon)
     q_fine = GridFunction.sample(fine.space, preset.q_true)
-    field = solve_forward(preset.spec, q_fine, fine)
-    g_fine = field.values[-1]
+    g_fine, _ = solve_forward(preset.spec, q_fine, fine)
 
     x_data = np.linspace(0.0, 1.0, preset.data_points)
     g_exact = np.interp(x_data, fine.space.nodes, g_fine)
@@ -391,7 +389,7 @@ def emit_outputs(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
         "iteration": bundle.trace.as_dict() if bundle.trace is not None else None,
         "metrics": bundle.metrics,
         "mollification": bundle.mollification,
-        "assumptions": bundle.assumptions.as_dict(),
+        "assumptions": bundle.assumptions,
     }
 
     series = [("true drift", x, bundle.q_true_grid.values)]

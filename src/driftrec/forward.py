@@ -23,15 +23,15 @@ by d (f depends on x only), b[0] = -b1 and the right flux over d_m at every
 time level, sampled in one call.  A step is then `b = w/tau; b += f/d`, two
 scalar stores, one `dpttrs` and one finiteness check.
 
-The inversion reads the solution only at the final time (g = u^N,
-u_t ~ (u^N - u^{N-1})/tau), so the loop holds just the current and the
-previous level and unscales only those: memory is O(m), not O(nm).
+The inversion reads the solution only at the final time, so `solve_forward`
+returns g = u^N and u_t = (u^N - u^{N-1})/tau.  The loop holds just the
+current and the previous level and unscales only those: memory is O(m),
+not O(nm).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -120,31 +120,15 @@ def _ldl_factor(lower, diag, upper):
     return d, p, l
 
 
-@dataclass(frozen=True, eq=False)
-class FinalLevels:
-    """The last two time levels of a forward solve over a grid pair.
+def solve_forward(
+    spec: ProblemSpec, drift: GridFunction, grids: GridPair
+) -> tuple[np.ndarray, np.ndarray]:
+    """March the implicit scheme from the sampled initial condition to T.
 
-    `values` has shape (2, m+1): row 0 is u^{N-1} (u^0 when n_steps = 1)
-    and row 1 is u^N.  The array is not copied, only viewed read-only, and
-    not checked for finiteness: `solve_forward` checks every level it solves for.
+    Returns (u_T, u_t): the final level u^N and its backward difference
+    (u^N - u^{N-1})/tau, with u^{N-1} = u^0 when n_steps = 1; both are
+    plain arrays over the m+1 nodes.
     """
-
-    grids: GridPair
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        shape = (2, self.grids.space.m + 1)
-        if vals.shape != shape:
-            raise ConfigurationError(f"final levels need shape {shape}, got {vals.shape}")
-        vals = vals.view()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-
-def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> FinalLevels:
-    """March the implicit scheme from the sampled initial condition to T,
-    keeping only the last two levels; u^{N-1} is u^0 itself when n_steps = 1."""
     d, p, l = _ldl_factor(*assemble_step_matrix(spec, drift, grids))
     x = grids.space.nodes
     tau = grids.time.tau
@@ -166,12 +150,6 @@ def solve_forward(spec: ProblemSpec, drift: GridFunction, grids: GridPair) -> Fi
         w_prev, w = w, dpttrs(p, l, b, overwrite_b=1)[0]
         if not math.isfinite(w.dot(weights)):
             raise NumericalError(f"forward solution became non-finite at step {n}")
+    u_T = w * d
     prev = u0 if grids.time.n_steps == 1 else w_prev * d
-    return FinalLevels(grids, np.stack([prev, w * d]))
-
-
-def final_time_derivative(field: FinalLevels) -> GridFunction:
-    """Backward difference of the last two time levels, (u^N - u^{N-1})/tau."""
-    tau = field.grids.time.tau
-    vals = (field.values[-1] - field.values[-2]) / tau
-    return GridFunction(field.grids.space, vals)
+    return u_T, (u_T - prev) / tau

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DataQualityError, DivergenceError, NumericalError
-from .forward import final_time_derivative, solve_forward
+from .forward import solve_forward
 from .model import GridFunction, GridPair, ProblemSpec, centered_first, centered_second, sample_on
 
 # The data slope g' is floored at this fraction of its largest interior value before
@@ -122,10 +122,8 @@ def drift_update(
     q0 - u_t(., T; drift) / slope at interior nodes, with boundary values
     linearly extrapolated.
     """
-    field = solve_forward(spec, drift, grids)
-    u_t = final_time_derivative(field)
-
-    k_int = q0.values[1:-1] - u_t.values[1:-1] / slope
+    _, u_t = solve_forward(spec, drift, grids)
+    k_int = q0.values[1:-1] - u_t[1:-1] / slope
     values = _fill_boundaries(k_int)
     if not np.all(np.isfinite(values)):
         raise NumericalError("drift update produced non-finite values")

@@ -169,42 +169,23 @@ def centered_second(v: np.ndarray, h: float) -> np.ndarray:
 # Admissibility diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Per-clause admissibility verdicts for a problem setup.
-
-    Violations are reported, never enforced: several of the reference
-    experiments intentionally run with a setup that fails clause (f), so
-    the validator must not abort anything.
-    """
-
-    c1_bound: float
-    c_v: float
-    clause_results: dict[str, str]
-    lower_bound_m: float
-    notes: dict[str, str]
-
-    def as_dict(self) -> dict:
-        return {
-            "c1_bound": float(self.c1_bound),
-            "c_v": float(self.c_v),
-            "clause_results": dict(self.clause_results),
-            "lower_bound_m": float(self.lower_bound_m),
-            "notes": dict(self.notes),
-        }
-
-
 def validate_assumptions(
     spec: ProblemSpec,
     drift: GridFunction,
     data: GridFunction,
-) -> AssumptionReport:
+) -> dict:
     """Measure the admissibility clauses with discrete norms.
 
     Norms are sampled sup norms with centered divided differences on a
     uniform audit grid; the drift is linearly interpolated onto that grid.
     The minimum interior slope of the final-time `data` (the positive lower
     bound the theory requires) is recorded too.
+
+    Returns the floats `c1_bound`, `c_v` and `lower_bound_m` and, per clause
+    "a" to "f", a "pass"/"warn" verdict in `clause_results` and the measured
+    numbers in `notes`.  Violations are reported, never enforced: several of
+    the reference experiments intentionally run with a setup that fails
+    clause (f), so the validator must not abort anything.
     """
     xa = np.linspace(0.0, 1.0, _AUDIT_POINTS)
     ha = xa[1] - xa[0]
@@ -260,10 +241,10 @@ def validate_assumptions(
         f"min f' = {np.min(f_prime):.6g} vs {bound_fp:.6g}"
     )
 
-    return AssumptionReport(
-        c1_bound=c1_bound,
-        c_v=c_v,
-        clause_results=results,
-        lower_bound_m=float(np.min(centered_first(data.values, data.grid.h))),
-        notes=notes,
-    )
+    return {
+        "c1_bound": c1_bound,
+        "c_v": c_v,
+        "clause_results": results,
+        "lower_bound_m": float(np.min(centered_first(data.values, data.grid.h))),
+        "notes": notes,
+    }

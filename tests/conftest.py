@@ -226,7 +226,7 @@ def ex1_setup(ex1_spec):
     grids = dr.build_grids(100, 100, 1.0)
     fine = dr.build_grids(400, 400, 1.0)
     q_fine = dr.GridFunction.sample(fine.space, np.sin)
-    g_fine = dr.solve_forward(ex1_spec, q_fine, fine).values[-1]
+    g_fine, _ = dr.solve_forward(ex1_spec, q_fine, fine)
     data = dr.GridFunction(grids.space, np.interp(grids.space.nodes, fine.space.nodes, g_fine))
     q_true = dr.GridFunction.sample(grids.space, np.sin)
     return {"spec": ex1_spec, "grids": grids, "data": data, "q_true": q_true}

@@ -1,7 +1,10 @@
+import ast
 import json
+import os
 import re
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +115,14 @@ class TestPresets:
             dr.make_preset("ex3e", data_points=2001, lam=float(np.nextafter(ceiling, np.inf)))
         assert f"{ceiling:g}" in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["", "../escaped", "a/b", os.path.join("a", "b")])
+    def test_name_no_file_can_hold_rejected(self, tmp_path, name):
+        # the name is part of figure-<name>.svg: a run must not write three files and fail on it
+        base = dr.make_preset("ex1a", data_points=1001)
+        with pytest.raises(ConfigurationError, match="preset name"):
+            dr.run_experiment(replace(base, name=name), tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
     def test_drift_shapes(self):
         x = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 1.0])
         assert np.allclose(drift_sine(x), np.sin(x))
@@ -185,7 +196,7 @@ class TestRunExperiment:
 
     def test_bundle_embeds_assumption_report(self):
         bundle = dr.run_experiment(dr.make_preset("ex1a"))
-        assert bundle.assumptions.clause_results["f"] == "warn"
+        assert bundle.assumptions["clause_results"]["f"] == "warn"
         assert bundle.provenance["preset"] == "ex1a"
         assert bundle.provenance["tool_version"] == dr.__version__
 
@@ -344,3 +355,11 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
 def test_every_exported_name_resolves():
     missing = [name for name in dr.__all__ if not hasattr(dr, name)]
     assert missing == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse(Path(dr.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert sorted(dr.__all__) == sorted(public | {"__version__"})

@@ -172,29 +172,32 @@ class TestForwardSolve:
                               left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
         space = dr.SpatialGrid(25)
         q = dr.GridFunction.sample(space, _constant(0.0))
-        for n_steps in range(1, 26):  # the last two levels of each: every level of 25 steps
-            field = dr.solve_forward(spec, q, dr.build_grids(25, n_steps, 1.0))
-            assert np.max(np.abs(field.values - 1.0)) <= 1e-12
+        for n_steps in range(1, 26):
+            u_T, u_t = dr.solve_forward(spec, q, dr.build_grids(25, n_steps, 1.0))
+            assert np.max(np.abs(u_T - 1.0)) <= 1e-12
+            assert np.max(np.abs(u_t)) <= 1e-12
 
     def test_initial_row_is_sampled_initial_condition(self, ex1_spec):
+        # one step: u_t is the difference from u^0 itself
         grids = dr.build_grids(20, 1, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        field = dr.solve_forward(ex1_spec, q, grids)
-        assert np.array_equal(field.values[0], np.sin(np.pi * grids.space.nodes))
+        u_T, u_t = dr.solve_forward(ex1_spec, q, grids)
+        u0 = np.sin(np.pi * grids.space.nodes)
+        assert np.array_equal(u_t, (u_T - u0) / grids.time.tau)
 
     def test_reference_setup_spatial_slope_positive(self, ex1_spec):
         grids = dr.build_grids(100, 100, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        field = dr.solve_forward(ex1_spec, q, grids)
-        assert np.all(centered_first(field.values[-1], grids.space.h) > 0.0)
+        u_T, _ = dr.solve_forward(ex1_spec, q, grids)
+        assert np.all(centered_first(u_T, grids.space.h) > 0.0)
 
     def test_manufactured_solution_error_is_small(self, manufactured):
         # the sup error is 3.28e-2 at m = n = 50; the bound keeps a 1.46x margin
         spec, exact = manufactured
         grids = dr.build_grids(50, 50, 1.0)
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
-        field = dr.solve_forward(spec, q, grids)
-        err = np.max(np.abs(field.values[-1] - exact(grids.space.nodes, 1.0)))
+        u_T, _ = dr.solve_forward(spec, q, grids)
+        err = np.max(np.abs(u_T - exact(grids.space.nodes, 1.0)))
         assert err <= 0.048
 
     def test_scalar_source_matches_vectorized_constant(self, ex1_spec):
@@ -202,12 +205,13 @@ class TestForwardSolve:
         q = dr.GridFunction.sample(grids.space, np.sin)
         scalar = dr.solve_forward(replace(ex1_spec, source=lambda x: 10.0), q, grids)
         vector = dr.solve_forward(replace(ex1_spec, source=_constant(10.0)), q, grids)
-        assert np.array_equal(scalar.values, vector.values)
+        for got, want in zip(scalar, vector, strict=True):
+            assert np.array_equal(got, want)
 
     def test_cached_factorization_matches_per_step_assembly(self, ex1_spec):
         grids = dr.build_grids(20, 10, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        field = dr.solve_forward(ex1_spec, q, grids)
+        u_T, u_t = dr.solve_forward(ex1_spec, q, grids)
 
         # re-march in w = D^-1 u assembling, scaling and factoring the matrix at every step
         x = grids.space.nodes
@@ -226,7 +230,8 @@ class TestForwardSolve:
             rhs[-1] = ex1_spec.right_flux(grids.time.times[n]) / d[-1]
             w = dpttrs(p, l, rhs)[0]
             levels.append(w * d)
-        assert np.array_equal(field.values, np.array(levels[-2:]))
+        assert np.array_equal(u_T, levels[-1])
+        assert np.array_equal(u_t, (levels[-1] - levels[-2]) / tau)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-1.0, 1.0),
@@ -241,8 +246,7 @@ class TestForwardSolve:
         x = grids.space.nodes
         v = (a0 + a1 * np.sin(2.0 * np.pi * x + phase)) / max(1.0, abs(a0) + a1)
         q = dr.GridFunction(grids.space, (1.99 / grids.space.h) * v)
-        field = dr.solve_forward(ex1_spec, q, grids)
-        assert not field.values.flags.writeable
+        u_T, u_t = dr.solve_forward(ex1_spec, q, grids)
 
         factor, apply = thomas_reference
         fac = factor(*dr.assemble_step_matrix(ex1_spec, q, grids))
@@ -256,10 +260,13 @@ class TestForwardSolve:
             rhs[1:-1] = levels[-1][1:-1] / grids.time.tau + f_int
             rhs[-1] = ex1_spec.right_flux(times[n])
             levels.append(apply(fac, rhs))
-        for got, ref in zip(field.values, levels[-2:], strict=True):
-            assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+        # each level within 1e-10 of its scale, so their difference within twice that
+        scale = max(1.0, np.max(np.abs(levels[-1])), np.max(np.abs(levels[-2])))
+        assert np.max(np.abs(u_T - levels[-1])) <= 1e-10 * scale
+        ref_t = (levels[-1] - levels[-2]) / grids.time.tau
+        assert np.max(np.abs(u_t - ref_t)) <= 2e-10 * scale / grids.time.tau
         if n_steps == 1:
-            assert np.array_equal(field.values[0], u0)
+            assert np.array_equal(u_t, (u_T - u0) / grids.time.tau)
 
     def test_drift_beyond_the_bound_raises(self, ex1_spec):
         grids = dr.build_grids(10, 10, 1.0)
@@ -287,11 +294,11 @@ class TestForwardSolve:
         q = dr.GridFunction.sample(grids.space, np.sin)
         tracemalloc.start()
         try:
-            field = dr.solve_forward(ex1_spec, q, grids)
+            u_T, u_t = dr.solve_forward(ex1_spec, q, grids)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert field.values.shape == (2, m + 1)
+        assert u_T.shape == u_t.shape == (m + 1,)
         assert peak < 1e6
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -375,36 +382,23 @@ class TestForwardSolve:
 
 class TestFinalTimeDerivative:
     def test_constant_in_time_field(self):
+        # u = 1 solves the model with f = C_p and zero fluxes: every level is 1
+        spec = dr.ProblemSpec(source=_constant(5.0), potential=5.0, initial=_constant(1.0),
+                              left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
         grids = dr.build_grids(5, 3, 1.0)
-        vals = np.tile(np.linspace(0.0, 1.0, 6), (2, 1))
-        field = dr.FinalLevels(grids, vals)
-        out = dr.final_time_derivative(field)
-        assert np.all(out.values == 0.0)
-
-    def test_linear_in_time_field(self):
-        grids = dr.build_grids(5, 4, 2.0)
-        tau = grids.time.tau
-        base = np.linspace(1.0, 2.0, 6)
-        vals = np.stack([base + n * tau * 3.0 for n in (3, 4)])
-        field = dr.FinalLevels(grids, vals)
-        out = dr.final_time_derivative(field)
-        assert np.max(np.abs(out.values - 3.0)) <= 1e-12
-
-    def test_other_shapes_rejected(self):
-        grids = dr.build_grids(5, 3, 1.0)
-        with pytest.raises(ConfigurationError, match=r"shape \(2, 6\)"):
-            dr.FinalLevels(grids, np.zeros((4, 6)))
+        q = dr.GridFunction.sample(grids.space, _constant(0.0))
+        _, u_t = dr.solve_forward(spec, q, grids)
+        assert np.max(np.abs(u_t)) <= 1e-12
 
     def test_reference_setup_nonnegative(self, ex1_spec):
         grids = dr.build_grids(100, 100, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        field = dr.solve_forward(ex1_spec, q, grids)
-        out = dr.final_time_derivative(field)
-        assert np.min(out.values) >= -1e-8
+        _, u_t = dr.solve_forward(ex1_spec, q, grids)
+        assert np.min(u_t) >= -1e-8
 
     def test_mixed_difference_nonnegative(self, ex1_spec):
         grids = dr.build_grids(100, 100, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
-        field = dr.solve_forward(ex1_spec, q, grids)
-        mixed = centered_first(dr.final_time_derivative(field).values, grids.space.h)
+        _, u_t = dr.solve_forward(ex1_spec, q, grids)
+        mixed = centered_first(u_t, grids.space.h)
         assert np.min(mixed) >= -1e-6

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -155,16 +156,16 @@ class TestAssumptions:
         q = dr.GridFunction.sample(grid, np.sin)
         report = dr.validate_assumptions(ex1_spec, q, q)
         # |sin| + |cos| sup on (0,1) is sin(1) + 1
-        assert report.c1_bound == pytest.approx(np.sin(1.0) + 1.0, abs=1e-2)
+        assert report["c1_bound"] == pytest.approx(np.sin(1.0) + 1.0, abs=1e-2)
         # C_v is dominated by the third derivative of sin(pi x)
-        assert report.c_v == pytest.approx(np.pi**3, abs=1e-2)
-        assert report.clause_results["b"] == "pass"
-        assert report.clause_results["c"] == "pass"
-        assert report.clause_results["d"] == "pass"
+        assert report["c_v"] == pytest.approx(np.pi**3, abs=1e-2)
+        assert report["clause_results"]["b"] == "pass"
+        assert report["clause_results"]["c"] == "pass"
+        assert report["clause_results"]["d"] == "pass"
         # f = 10 + 10x is far below (1 + M + C_p) * C_v ~ 243
-        assert report.clause_results["f"] == "warn"
+        assert report["clause_results"]["f"] == "warn"
         # v' = pi cos(pi x) is negative beyond x = 1/2
-        assert report.clause_results["e"] == "warn"
+        assert report["clause_results"]["e"] == "warn"
 
     def test_zero_drift_passes_bound_clause(self):
         spec = dr.ProblemSpec(source=lambda x: 1.0 + 0.0 * np.asarray(x), potential=1.0,
@@ -172,7 +173,7 @@ class TestAssumptions:
                               right_flux=lambda t: 1.0 + t, horizon=1.0)
         q = dr.GridFunction.sample(dr.SpatialGrid(10), lambda x: 0.0 * np.asarray(x))
         report = dr.validate_assumptions(spec, q, q)
-        assert report.clause_results["b"] == "pass"
+        assert report["clause_results"]["b"] == "pass"
 
     def test_nonincreasing_boundary_flux_warns(self):
         spec = dr.ProblemSpec(source=lambda x: 1.0 + 0.0 * np.asarray(x), potential=1.0,
@@ -180,16 +181,17 @@ class TestAssumptions:
                               right_flux=lambda t: 1.0 - t, horizon=1.0)
         q = dr.GridFunction.sample(dr.SpatialGrid(10), lambda x: 0.0 * np.asarray(x))
         report = dr.validate_assumptions(spec, q, q)
-        assert report.clause_results["d"] == "warn"
+        assert report["clause_results"]["d"] == "warn"
 
     def test_data_slope_bound_recorded(self, ex1_setup):
         report = dr.validate_assumptions(ex1_setup["spec"], ex1_setup["q_true"],
                                          data=ex1_setup["data"])
-        assert report.lower_bound_m > 0.9
+        assert report["lower_bound_m"] > 0.9
 
     def test_report_round_trips_to_dict(self, ex1_spec):
         q = dr.GridFunction.sample(dr.SpatialGrid(10), np.sin)
-        report = dr.validate_assumptions(ex1_spec, q, q)
-        doc = report.as_dict()
-        assert set(doc["clause_results"]) == set("abcdef")
+        doc = dr.validate_assumptions(ex1_spec, q, q)
+        assert json.loads(json.dumps(doc)) == doc
+        assert set(doc) == {"c1_bound", "c_v", "clause_results", "lower_bound_m", "notes"}
+        assert set(doc["clause_results"]) == set(doc["notes"]) == set("abcdef")
         assert all(v in ("pass", "warn") for v in doc["clause_results"].values())

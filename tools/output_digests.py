@@ -8,6 +8,8 @@ OUT must be absent or empty.  The set is:
 - ex1a on a 400x400 solver grid;
 - ex3e and ex3f at noise seeds 7, 11, 13 and 31;
 - ex3e with a fixed lambda of 1e24 on 2001 data points;
+- ex3e without mollification, a failed run (exit code 3) whose files hold
+  the error, the partial trace and the admissibility report;
 - `driftrec forward ex1a --out`;
 - `driftrec mollify ex3e --noise 0.01 --seed 7 --data-points 2001 --out`, once
   with the discrepancy search and once with a fixed lambda of 1e24.
@@ -28,13 +30,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from driftrec.cli import main as cli_main  # noqa: E402
+from driftrec.cli import EXIT_NUMERICAL, EXIT_OK, main as cli_main  # noqa: E402
 
 NOISY_SEEDS = (7, 11, 13, 31)
 
 
-def _runs(out: Path) -> list[list[str]]:
-    """The CLI invocations of the comparison set, each into its own directory."""
+def _runs(out: Path) -> list[tuple[list[str], int]]:
+    """The CLI invocations of the comparison set, each into its own directory,
+    with the exit code each must give."""
     runs = [["suite", "--out", str(out / "suite")],
             ["experiment", "ex1a", "--grid-m", "400", "--grid-n", "400",
              "--out", str(out / "ex1a-400x400")]]
@@ -49,16 +52,17 @@ def _runs(out: Path) -> list[list[str]]:
                  "--out", str(out / "mollify-ex3e")])
     runs.append(["mollify", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
                  "--lambda", "1e24", "--out", str(out / "mollify-ex3e-lambda1e24")])
-    return runs
+    failed = ["experiment", "ex3e", "--no-mollify", "--out", str(out / "ex3e-no-mollify")]
+    return [(argv, EXIT_OK) for argv in runs] + [(failed, EXIT_NUMERICAL)]
 
 
 def write_set(out: Path) -> None:
-    for argv in _runs(out):
+    for argv, expected in _runs(out):
         # the CLI's report lines name OUT; only the files are compared
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli_main(argv)
-        if code != 0:
-            raise SystemExit(f"driftrec {' '.join(argv)} exited with {code}")
+        if code != expected:
+            raise SystemExit(f"driftrec {' '.join(argv)} exited with {code}, expected {expected}")
 
 
 def digests(out: Path) -> list[str]:
