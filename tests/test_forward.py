@@ -390,6 +390,20 @@ class TestFinalTimeDerivative:
         _, u_t = dr.solve_forward(spec, q, grids)
         assert np.max(np.abs(u_t)) <= 1e-12
 
+    def test_linear_in_time_field(self):
+        # u = c - 3(T - t) with f = C_p c + 3 and zero fluxes: the one step
+        # from u^0 = c - 3 tau lands on u^1 = c, so u_t = 3 at every node
+        c, rate, potential = 2.0, 3.0, 5.0
+        grids = dr.build_grids(5, 1, 0.5)
+        tau = grids.time.tau
+        spec = dr.ProblemSpec(source=_constant(potential * c + rate), potential=potential,
+                              initial=_constant(c - rate * tau), left_flux=0.0,
+                              right_flux=_constant(0.0), horizon=0.5)
+        q = dr.GridFunction.sample(grids.space, _constant(0.0))
+        u_T, u_t = dr.solve_forward(spec, q, grids)
+        assert np.max(np.abs(u_T - c)) <= 1e-12
+        assert np.max(np.abs(u_t - rate)) <= 1e-12
+
     def test_reference_setup_nonnegative(self, ex1_spec):
         grids = dr.build_grids(100, 100, 1.0)
         q = dr.GridFunction.sample(grids.space, np.sin)
