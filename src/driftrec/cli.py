@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: `forward` (forward solve only), `mollify` (data synthesis +
-denoising), `invert` (full pipeline, metrics to stdout), `experiment`
-(full pipeline + output bundle), `suite` (all presets).
+Subcommands: `forward` (forward solve only), `invert` (the full pipeline
+for one preset: metrics to stdout, and with `--out` its four output files),
+`suite` (every preset, each into its own directory).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,10 +20,8 @@ from .experiments import (
     PRESET_NAMES,
     csv_lines,
     make_preset,
-    mollify_data,
     run_experiment,
     run_suite,
-    synthesize,
 )
 from .forward import solve_forward
 from .model import GridFunction, build_grids
@@ -65,12 +62,12 @@ def _overrides(args) -> dict:
     return {key: value for key, value in vars(args).items() if key in dests}
 
 
-def _preset_from_args(args, **fixed):
+def _preset_from_args(args):
     """The named preset with the command line's overrides.  A --seed for a run
     without noise is rejected rather than dropped (`suite` applies it to its
     noisy presets only)."""
     overrides = _overrides(args)
-    preset = make_preset(args.preset, **fixed, **overrides)
+    preset = make_preset(args.preset, **overrides)
     if "seed" in overrides and preset.noise is None:
         raise ConfigurationError(f"--seed {overrides['seed']} has no effect: this run of "
                                  f"{preset.name!r} has no noise (give --noise > 0)")
@@ -94,33 +91,6 @@ def cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def cmd_mollify(args) -> int:
-    preset = _preset_from_args(args, mollify=True)
-    g_exact, g_measured = synthesize(preset)
-    g_star, record = mollify_data(preset, g_exact, g_measured)
-    err_before = float(np.linalg.norm(g_measured - g_exact))
-    err_after = float(np.linalg.norm(g_star - g_exact))
-    print(f"mollify {preset.name}: K={record['data_points']}, lambda={record['lambda']:g}, "
-          f"residual={record['residual']:g}, data error {err_before:g} -> {err_after:g}")
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "mollify.json"
-        doc = {
-            "preset": preset.name,
-            "lambda": record["lambda"],
-            "residual": record["residual"],
-            "sigma_abs": record["sigma_abs"],
-            "data_points": record["data_points"],
-            "noise_level": float(preset.noise.level),
-            "seed": int(preset.noise.seed),
-            "error_before": err_before,
-            "error_after": err_after,
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
-    return EXIT_OK
-
-
 def _report_bundle(bundle) -> int:
     if bundle.status == "ok":
         m = bundle.metrics
@@ -134,14 +104,6 @@ def _report_bundle(bundle) -> int:
 def cmd_invert(args) -> int:
     bundle = run_experiment(_preset_from_args(args), args.out)
     return _report_bundle(bundle)
-
-
-def cmd_experiment(args) -> int:
-    out = args.out if args.out is not None else Path("runs") / args.preset
-    bundle = run_experiment(_preset_from_args(args), out)
-    code = _report_bundle(bundle)
-    print(f"outputs in {out}")
-    return code
 
 
 def cmd_suite(args) -> int:
@@ -172,13 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subcommand(sub, "forward", cmd_forward,
                     "solve the forward problem with the preset's true drift",
                     ("--grid-m", "--grid-n"))
-    _add_subcommand(sub, "mollify", cmd_mollify, "synthesize noisy data and mollify it",
-                    ("--grid-m", "--grid-n", "--refine", "--data-points", "--noise", "--lambda",
-                     "--seed"))
-    _add_subcommand(sub, "invert", cmd_invert, "run the full reconstruction, print metrics",
+    _add_subcommand(sub, "invert", cmd_invert,
+                    "run the full reconstruction, print metrics (--out writes the output files)",
                     _PRESET_FLAGS)
-    _add_subcommand(sub, "experiment", cmd_experiment,
-                    "run one preset and write the output bundle", _PRESET_FLAGS)
     _add_subcommand(sub, "suite", cmd_suite, "run all presets",
                     ("--refine", "--data-points", "--seed"), preset=False)
     return parser

@@ -108,10 +108,10 @@ class ExperimentPreset:
     tikhonov: TikhonovConfig
 
     def __post_init__(self):
-        if not self.name or any(sep and sep in self.name for sep in ("/", os.sep, os.altsep)):
+        if not self.name or any(c and c in self.name for c in ("/", os.sep, os.altsep, "\0")):
             # the name is part of a file name in the run's output set
-            raise ConfigurationError(f"preset name must be non-empty without a path separator, "
-                                     f"got {self.name!r}")
+            raise ConfigurationError(f"preset name must be non-empty without a path separator "
+                                     f"or NUL, got {self.name!r}")
         r = self.data_grid_refinement
         if not isinstance(r, (int, np.integer)) or r < 1:
             raise ConfigurationError(f"data_grid_refinement must be an integer >= 1, got {r!r}")
@@ -243,8 +243,9 @@ def mollify_data(
     The penalty weight is the preset's fixed `lam` or else the
     discrepancy-principle choice, whose search solution is g* itself.
     Returns the mollified data g* and a record of the weight, the fit
-    residual, sigma and the discrepancy target.  A preset without noise
-    has nothing to mollify and is rejected.
+    residual, sigma, the discrepancy target and the 2-norm of the data
+    error before and after.  A preset without noise has nothing to
+    mollify and is rejected.
     """
     if preset.noise is None:
         raise ConfigurationError("mollify_data needs a preset with a noise level > 0")
@@ -266,6 +267,8 @@ def mollify_data(
         "target": preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
         "sigma_abs": sigma_abs,
         "data_points": int(n_pts),
+        "error_before": float(np.linalg.norm(g_measured - g_exact)),
+        "error_after": float(np.linalg.norm(g_star - g_exact)),
     }
     return g_star, record
 

@@ -6,6 +6,8 @@ same inputs, and a couple of overlaid curves is all the harness needs.
 
 from __future__ import annotations
 
+import html
+
 import numpy as np
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -54,7 +56,7 @@ def line_plot_svg(series: list[tuple[str, np.ndarray, np.ndarray]], title: str) 
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.0f}" y="24" font-family="sans-serif" font-size="16" '
-        f'text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{html.escape(title, quote=False)}</text>',
         # axes
         f'<line x1="{_fmt(px(x_lo))}" y1="{_fmt(py(y_lo))}" x2="{_fmt(px(x_hi))}" '
         f'y2="{_fmt(py(y_lo))}" stroke="black" stroke-width="1"/>',
@@ -86,7 +88,8 @@ def line_plot_svg(series: list[tuple[str, np.ndarray, np.ndarray]], title: str) 
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{_WIDTH - 134}" y="{ly}" font-family="sans-serif" font-size="12">{label}</text>'
+            f'<text x="{_WIDTH - 134}" y="{ly}" font-family="sans-serif" font-size="12">'
+            f'{html.escape(label, quote=False)}</text>'
         )
 
     parts.append("</svg>")

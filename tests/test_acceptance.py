@@ -190,7 +190,7 @@ def test_criterion_9_banded_tikhonov_against_dense_oracle(dense_solve):
 def test_criterion_10_cli_determinism(tmp_path):
     start = time.perf_counter()
     for sub in ("a", "b"):
-        code = main(["experiment", "ex3e", "--seed", "7", "--out", str(tmp_path / sub)])
+        code = main(["invert", "ex3e", "--seed", "7", "--out", str(tmp_path / sub)])
         assert code == 0
     for name in ("drift.csv", "trace.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import driftrec as dr
@@ -14,15 +15,17 @@ _BUNDLE_FILES = ("drift.csv", "solution.csv", "trace.json", "figure-{preset}.svg
 
 class TestExitCodes:
     def test_unknown_preset(self, capsys):
-        assert main(["experiment", "bogus"]) == 2
+        assert main(["invert", "bogus"]) == 2
         assert "valid presets" in capsys.readouterr().err
 
     def test_bad_lambda(self, capsys):
         assert main(["invert", "ex1a", "--lambda", "huge"]) == 2
 
-    def test_mollify_without_noise(self, capsys):
-        assert main(["mollify", "ex1a"]) == 2
-        assert "noise" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["experiment", "mollify"])
+    def test_removed_subcommand(self, command, capsys):
+        # `invert` runs the whole pipeline; `--out` writes what these commands wrote
+        assert main([command, "ex3e"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["invert", "ex1a", "--data-points", "1001", "--lambda", "1.0"],
@@ -34,7 +37,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["invert", "ex1a", "--data-points", "1001", "--seed", "11"],
-        ["experiment", "ex1a", "--data-points", "1001", "--seed", "11"],
         ["invert", "ex3e", "--data-points", "2001", "--noise", "0", "--seed", "11"],
     ])
     def test_seed_without_noise(self, argv, tmp_path, capsys):
@@ -56,17 +58,17 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["forward", "ex1a", "--noise", "0.05"],
         ["forward", "ex1a", "--formats", "json"],
-        ["mollify", "ex3e", "--no-mollify"],
-        ["mollify", "ex3e", "--max-iter", "2"],
-        ["experiment", "ex1a", "--formats", "json"],
+        ["invert", "ex1a", "--formats", "json"],
         ["suite", "--formats", "json"],
+        ["forward", "ex1a", "--seed", "7"],
+        ["suite", "--noise", "0.01"],
     ])
     def test_flag_the_subcommand_does_not_read(self, argv, capsys):
         assert main(argv) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        code = main(["experiment", "ex3e", "--noise", "0.5", "--seed", "3", "--no-mollify",
+        code = main(["invert", "ex3e", "--noise", "0.5", "--seed", "3", "--no-mollify",
                      "--out", str(tmp_path)])
         assert code == 3
         assert "FAILED" in capsys.readouterr().err
@@ -89,22 +91,18 @@ class TestCommands:
         assert "rel_l2=" in out
 
     def test_mollify_writes_metadata(self, tmp_path, capsys):
-        code = main(["mollify", "ex3e", "--noise", "0.01", "--seed", "7",
-                     "--data-points", "2001", "--out", str(tmp_path)])
+        code = main(["invert", "ex3e", "--data-points", "2001", "--seed", "7",
+                     "--out", str(tmp_path)])
         assert code == 0
-        doc = json.loads((tmp_path / "mollify.json").read_text())
-        assert doc["noise_level"] == 0.01
-        assert doc["error_after"] < doc["error_before"]
-
-    def test_mollify_matches_pipeline(self, tmp_path, capsys):
-        assert main(["mollify", "ex3e", "--data-points", "2001", "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "mollify.json").read_text())
-        record = dr.run_experiment(dr.make_preset("ex3e", data_points=2001)).mollification
-        for key in ("lambda", "residual", "sigma_abs", "data_points"):
-            assert doc[key] == record[key]
+        record = json.loads((tmp_path / "trace.json").read_text())["mollification"]
+        bundle = dr.run_experiment(dr.make_preset("ex3e", data_points=2001, seed=7))
+        assert record == json.loads(json.dumps(bundle.mollification))
+        assert record["error_before"] == float(np.linalg.norm(bundle.g_noisy - bundle.g_exact))
+        assert record["error_after"] == float(np.linalg.norm(bundle.g_mollified - bundle.g_exact))
+        assert record["error_after"] < record["error_before"]
 
     def test_fixed_lambda_accepted(self, tmp_path):
-        code = main(["experiment", "ex3e", "--lambda", "1e24", "--data-points", "2001",
+        code = main(["invert", "ex3e", "--lambda", "1e24", "--data-points", "2001",
                      "--out", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "trace.json").read_text())
@@ -112,7 +110,7 @@ class TestCommands:
         assert doc["mollification"]["lambda"] == 1e24
 
     def test_experiment_writes_bundle(self, tmp_path, capsys):
-        code = main(["experiment", "ex1b", "--data-points", "1001", "--out", str(tmp_path)])
+        code = main(["invert", "ex1b", "--data-points", "1001", "--out", str(tmp_path)])
         assert code == 0
         for name in _BUNDLE_FILES:
             assert (tmp_path / name.format(preset="ex1b")).exists()

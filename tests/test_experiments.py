@@ -115,7 +115,7 @@ class TestPresets:
             dr.make_preset("ex3e", data_points=2001, lam=float(np.nextafter(ceiling, np.inf)))
         assert f"{ceiling:g}" in str(exc.value)
 
-    @pytest.mark.parametrize("name", ["", "../escaped", "a/b", os.path.join("a", "b")])
+    @pytest.mark.parametrize("name", ["", "../escaped", "a/b", os.path.join("a", "b"), "a\0b"])
     def test_name_no_file_can_hold_rejected(self, tmp_path, name):
         # the name is part of figure-<name>.svg: a run must not write three files and fail on it
         base = dr.make_preset("ex1a", data_points=1001)
@@ -265,6 +265,14 @@ class TestEmitOutputs:
         ns = "{http://www.w3.org/2000/svg}"
         polylines = tree.getroot().findall(f".//{ns}polyline")
         assert len(polylines) == 2  # true and recovered drift
+
+    def test_svg_escapes_the_name(self, tmp_path):
+        preset = replace(dr.make_preset("ex1a", data_points=1001, grid_m=20, grid_n=20),
+                         name="a&b<c>")
+        dr.run_experiment(preset, tmp_path)
+        root = ET.fromstring((tmp_path / "figure-a&b<c>.svg").read_bytes())
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "drift reconstruction: a&b<c>" in texts
 
     def test_writes_the_four_files(self, bundle_dir, tmp_path):
         bundle, _ = bundle_dir

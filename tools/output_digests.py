@@ -7,12 +7,13 @@ OUT must be absent or empty.  The set is:
 - every preset at its defaults (`driftrec suite`);
 - ex1a on a 400x400 solver grid;
 - ex3e and ex3f at noise seeds 7, 11, 13 and 31;
-- ex3e with a fixed lambda of 1e24 on 2001 data points;
+- ex3e on 2001 data points, once with a fixed lambda of 1e24 and once with
+  the discrepancy search;
 - ex3e without mollification, a failed run (exit code 3) whose files hold
   the error, the partial trace and the admissibility report;
-- `driftrec forward ex1a --out`;
-- `driftrec mollify ex3e --noise 0.01 --seed 7 --data-points 2001 --out`, once
-  with the discrepancy search and once with a fixed lambda of 1e24.
+- `driftrec forward ex1a --out`.
+
+Every run but `suite` and `forward` is `driftrec invert PRESET ... --out`.
 
 Each line reads `<sha256>  <path relative to OUT>`, sorted by path, so two
 runs into different directories diff clean exactly when every file is
@@ -39,20 +40,18 @@ def _runs(out: Path) -> list[tuple[list[str], int]]:
     """The CLI invocations of the comparison set, each into its own directory,
     with the exit code each must give."""
     runs = [["suite", "--out", str(out / "suite")],
-            ["experiment", "ex1a", "--grid-m", "400", "--grid-n", "400",
+            ["invert", "ex1a", "--grid-m", "400", "--grid-n", "400",
              "--out", str(out / "ex1a-400x400")]]
     for name in ("ex3e", "ex3f"):
         for seed in NOISY_SEEDS:
-            runs.append(["experiment", name, "--seed", str(seed),
+            runs.append(["invert", name, "--seed", str(seed),
                          "--out", str(out / f"{name}-seed{seed}")])
-    runs.append(["experiment", "ex3e", "--data-points", "2001", "--lambda", "1e24", "--seed", "7",
+    runs.append(["invert", "ex3e", "--data-points", "2001", "--lambda", "1e24", "--seed", "7",
                  "--out", str(out / "ex3e-lambda1e24")])
+    runs.append(["invert", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
+                 "--out", str(out / "ex3e-k2001")])
     runs.append(["forward", "ex1a", "--out", str(out / "forward-ex1a")])
-    runs.append(["mollify", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
-                 "--out", str(out / "mollify-ex3e")])
-    runs.append(["mollify", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
-                 "--lambda", "1e24", "--out", str(out / "mollify-ex3e-lambda1e24")])
-    failed = ["experiment", "ex3e", "--no-mollify", "--out", str(out / "ex3e-no-mollify")]
+    failed = ["invert", "ex3e", "--no-mollify", "--out", str(out / "ex3e-no-mollify")]
     return [(argv, EXIT_OK) for argv in runs] + [(failed, EXIT_NUMERICAL)]
 
 
