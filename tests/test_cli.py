@@ -37,6 +37,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["invert", "ex1a", "--data-points", "1001", "--seed", "11"],
+        ["invert", "ex1a", "--data-points", "1001", "--noise", "0", "--seed", "11"],
         ["invert", "ex3e", "--data-points", "2001", "--noise", "0", "--seed", "11"],
     ])
     def test_seed_without_noise(self, argv, tmp_path, capsys):
@@ -100,6 +101,14 @@ class TestCommands:
         assert record["error_before"] == float(np.linalg.norm(bundle.g_noisy - bundle.g_exact))
         assert record["error_after"] == float(np.linalg.norm(bundle.g_mollified - bundle.g_exact))
         assert record["error_after"] < record["error_before"]
+
+    def test_mollify_matches_pipeline(self, tmp_path, capsys):
+        # the preset's own seed: trace.json records the search the library runs
+        assert main(["invert", "ex3e", "--data-points", "2001", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "trace.json").read_text())["mollification"]
+        record = dr.run_experiment(dr.make_preset("ex3e", data_points=2001)).mollification
+        for key in ("lambda", "residual", "sigma_abs", "data_points"):
+            assert doc[key] == record[key]
 
     def test_fixed_lambda_accepted(self, tmp_path):
         code = main(["invert", "ex3e", "--lambda", "1e24", "--data-points", "2001",
