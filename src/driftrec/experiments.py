@@ -15,7 +15,6 @@ recorded provenance.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -41,8 +40,6 @@ from .mollify import (
     solve_tikhonov,
 )
 from .svgplot import line_plot_svg
-
-PRESET_NAMES = ("ex1a", "ex1b", "ex2c", "ex2d", "ex3e", "ex3f")
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +105,10 @@ class ExperimentPreset:
     tikhonov: TikhonovConfig
 
     def __post_init__(self):
-        if not self.name or any(c and c in self.name for c in ("/", os.sep, os.altsep, "\0")):
-            # the name is part of a file name in the run's output set
-            raise ConfigurationError(f"preset name must be non-empty without a path separator "
-                                     f"or NUL, got {self.name!r}")
+        if not self.name or not self.name.isprintable():
+            # the name is text in figure.svg and trace.json: XML and UTF-8 must hold it
+            raise ConfigurationError(f"preset name must be non-empty printable text, "
+                                     f"got {self.name!r}")
         r = self.data_grid_refinement
         if not isinstance(r, (int, np.integer)) or r < 1:
             raise ConfigurationError(f"data_grid_refinement must be an integer >= 1, got {r!r}")
@@ -148,6 +145,7 @@ _PRESET_TABLE = {
     "ex3e": dict(horizon=1.0, q_true=drift_staircase, **_NOISY),
     "ex3f": dict(horizon=1.0, q_true=drift_plateau_ramp, **_NOISY),
 }
+PRESET_NAMES = tuple(_PRESET_TABLE)
 
 
 def make_preset(
@@ -364,7 +362,7 @@ def csv_lines(columns) -> list[str]:
 
 
 def emit_outputs(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
-    """Write drift.csv, solution.csv, trace.json and figure-<preset>.svg.
+    """Write drift.csv, solution.csv, trace.json and figure.svg.
 
     Returns their paths in that order.  All numbers are written with
     shortest round-trip formatting and stable key ordering, so identical
@@ -403,8 +401,7 @@ def emit_outputs(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
         "drift.csv": "\n".join(drift_csv) + "\n",
         "solution.csv": "\n".join(solution_csv) + "\n",
         "trace.json": json.dumps(doc, indent=2, sort_keys=True) + "\n",
-        f"figure-{bundle.preset.name}.svg":
-            line_plot_svg(series, f"drift reconstruction: {bundle.preset.name}"),
+        "figure.svg": line_plot_svg(series, f"drift reconstruction: {bundle.preset.name}"),
     }
     written = [out / name for name in texts]
     for path, text in zip(written, texts.values()):

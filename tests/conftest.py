@@ -219,14 +219,25 @@ def ex1_spec():
     return reference_spec()
 
 
-@pytest.fixture(scope="session")
-def ex1_setup(ex1_spec):
-    """Reference problem with drift sin(x): 100x100 solver grid plus exact
+def _ex1_problem(spec, m):
+    """Reference problem with drift sin(x): m x m solver grid plus exact
     final-time data generated on a 4x-refined grid."""
-    grids = dr.build_grids(100, 100, 1.0)
-    fine = dr.build_grids(400, 400, 1.0)
+    grids = dr.build_grids(m, m, 1.0)
+    fine = dr.build_grids(4 * m, 4 * m, 1.0)
     q_fine = dr.GridFunction.sample(fine.space, np.sin)
-    g_fine, _ = dr.solve_forward(ex1_spec, q_fine, fine)
+    g_fine, _ = dr.solve_forward(spec, q_fine, fine)
     data = dr.GridFunction(grids.space, np.interp(grids.space.nodes, fine.space.nodes, g_fine))
     q_true = dr.GridFunction.sample(grids.space, np.sin)
-    return {"spec": ex1_spec, "grids": grids, "data": data, "q_true": q_true}
+    return {"spec": spec, "grids": grids, "data": data, "q_true": q_true}
+
+
+@pytest.fixture(scope="session")
+def ex1_setup(ex1_spec):
+    """The reference problem on a 100x100 solver grid."""
+    return _ex1_problem(ex1_spec, 100)
+
+
+@pytest.fixture(scope="session")
+def ex1_setups(ex1_spec, ex1_setup):
+    """The reference problem on m x m solver grids, m in {20, 50, 100}, keyed by m."""
+    return {20: _ex1_problem(ex1_spec, 20), 50: _ex1_problem(ex1_spec, 50), 100: ex1_setup}

@@ -9,8 +9,9 @@ import pytest
 
 import driftrec as dr
 from driftrec.cli import main
+from driftrec.errors import SingularSystemError
 
-_BUNDLE_FILES = ("drift.csv", "solution.csv", "trace.json", "figure-{preset}.svg")
+_BUNDLE_FILES = ("drift.csv", "solution.csv", "trace.json", "figure.svg")
 
 
 class TestExitCodes:
@@ -74,6 +75,21 @@ class TestExitCodes:
         assert code == 3
         assert "FAILED" in capsys.readouterr().err
 
+    def test_out_is_a_regular_file(self, tmp_path, capsys):
+        # --out names a directory: a regular file there is an i/o error, not a traceback
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["forward", "ex1a", "--grid-m", "20", "--grid-n", "20", "--out", str(out)]) == 2
+        assert "i/o error" in capsys.readouterr().err
+
+    def test_raised_numerical_error(self, monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise SingularSystemError("x")
+
+        monkeypatch.setattr("driftrec.cli.solve_forward", singular)
+        assert main(["forward", "ex1a", "--grid-m", "20", "--grid-n", "20"]) == 3
+        assert "numerical failure: x" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_forward(self, tmp_path, capsys):
@@ -110,6 +126,15 @@ class TestCommands:
         for key in ("lambda", "residual", "sigma_abs", "data_points"):
             assert doc[key] == record[key]
 
+    def test_lambda_auto_is_the_default(self, tmp_path, capsys):
+        # 'auto' runs the discrepancy search, exactly as leaving --lambda off does
+        argv = ["invert", "ex3e", "--data-points", "2001", "--seed", "7"]
+        assert main([*argv, "--lambda", "auto", "--out", str(tmp_path / "auto")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        for name in ("drift.csv", "trace.json"):
+            assert ((tmp_path / "auto" / name).read_bytes()
+                    == (tmp_path / "default" / name).read_bytes())
+
     def test_fixed_lambda_accepted(self, tmp_path):
         code = main(["invert", "ex3e", "--lambda", "1e24", "--data-points", "2001",
                      "--out", str(tmp_path)])
@@ -122,14 +147,14 @@ class TestCommands:
         code = main(["invert", "ex1b", "--data-points", "1001", "--out", str(tmp_path)])
         assert code == 0
         for name in _BUNDLE_FILES:
-            assert (tmp_path / name.format(preset="ex1b")).exists()
+            assert (tmp_path / name).exists()
 
     def test_suite(self, tmp_path, capsys):
         code = main(["suite", "--data-points", "1001", "--seed", "5", "--out", str(tmp_path)])
         assert code == 0
         for name in ("ex1a", "ex1b", "ex2c", "ex2d", "ex3e", "ex3f"):
             for file in _BUNDLE_FILES:
-                assert (tmp_path / name / file.format(preset=name)).exists()
+                assert (tmp_path / name / file).exists()
             provenance = json.loads((tmp_path / name / "trace.json").read_text())["provenance"]
             assert provenance["data_points"] == 1001
         assert json.loads((tmp_path / "ex3e" / "trace.json").read_text())["provenance"]["seed"] == 5

@@ -1,6 +1,5 @@
 import ast
 import json
-import os
 import re
 import time
 import xml.etree.ElementTree as ET
@@ -25,6 +24,9 @@ from driftrec.experiments import (
     drift_staircase,
 )
 from driftrec.svgplot import line_plot_svg
+
+_BUNDLE_FILES = ("drift.csv", "solution.csv", "trace.json", "figure.svg")
+_SVG = "{http://www.w3.org/2000/svg}"
 
 # signed zeros, subnormals and values near the top of the range, mixed into ordinary draws
 _EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1.1e-308, -2.5e-310, 1e300, -1e300)
@@ -115,13 +117,29 @@ class TestPresets:
             dr.make_preset("ex3e", data_points=2001, lam=float(np.nextafter(ceiling, np.inf)))
         assert f"{ceiling:g}" in str(exc.value)
 
-    @pytest.mark.parametrize("name", ["", "../escaped", "a/b", os.path.join("a", "b"), "a\0b"])
+    @pytest.mark.parametrize("name", ["", "a\0b", "a\x01b", "a\tb", "a\udc80b"])
     def test_name_no_file_can_hold_rejected(self, tmp_path, name):
-        # the name is part of figure-<name>.svg: a run must not write three files and fail on it
+        # the name is text in figure.svg and trace.json: XML holds no control character and
+        # UTF-8 no lone surrogate, so a run must not write three files and fail on the fourth
         base = dr.make_preset("ex1a", data_points=1001)
         with pytest.raises(ConfigurationError, match="preset name"):
             dr.run_experiment(replace(base, name=name), tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", "../escaped", "a&b<c>", "\u00e9\U0001f642",
+                                      pytest.param("a" * 250, id="a*250"),
+                                      pytest.param("a" * 5000, id="a*5000")])
+    def test_path_like_name_stays_text(self, tmp_path, name):
+        # no file name holds the preset name: the four files land in out_dir whatever it is
+        preset = replace(dr.make_preset("ex1a", data_points=1001, grid_m=20, grid_n=20),
+                         name=name)
+        out = tmp_path / "out"
+        dr.run_experiment(preset, out)
+        assert list(tmp_path.iterdir()) == [out]
+        assert sorted(out.iterdir()) == sorted(out / file for file in _BUNDLE_FILES)
+        root = ET.parse(out / "figure.svg").getroot()
+        assert next(root.iter(f"{_SVG}text")).text == f"drift reconstruction: {name}"
+        assert json.loads((out / "trace.json").read_text())["provenance"]["preset"] == name
 
     def test_drift_shapes(self):
         x = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.8, 0.9, 1.0])
@@ -261,24 +279,22 @@ class TestEmitOutputs:
 
     def test_svg_structure(self, bundle_dir):
         _, out = bundle_dir
-        tree = ET.parse(out / "figure-ex3e.svg")
-        ns = "{http://www.w3.org/2000/svg}"
-        polylines = tree.getroot().findall(f".//{ns}polyline")
+        tree = ET.parse(out / "figure.svg")
+        polylines = tree.getroot().findall(f".//{_SVG}polyline")
         assert len(polylines) == 2  # true and recovered drift
 
     def test_svg_escapes_the_name(self, tmp_path):
         preset = replace(dr.make_preset("ex1a", data_points=1001, grid_m=20, grid_n=20),
                          name="a&b<c>")
         dr.run_experiment(preset, tmp_path)
-        root = ET.fromstring((tmp_path / "figure-a&b<c>.svg").read_bytes())
-        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        root = ET.fromstring((tmp_path / "figure.svg").read_bytes())
+        texts = [el.text for el in root.iter(f"{_SVG}text")]
         assert "drift reconstruction: a&b<c>" in texts
 
     def test_writes_the_four_files(self, bundle_dir, tmp_path):
         bundle, _ = bundle_dir
         written = dr.emit_outputs(bundle, tmp_path)
-        names = ["drift.csv", "solution.csv", "trace.json", "figure-ex3e.svg"]
-        assert written == [tmp_path / name for name in names]
+        assert written == [tmp_path / name for name in _BUNDLE_FILES]
         assert sorted(tmp_path.iterdir()) == sorted(written)
 
     def test_failed_run_still_emits(self, tmp_path):
@@ -322,7 +338,7 @@ class TestDeterminism:
         preset = dr.make_preset("ex3e", data_points=2001)
         dr.run_experiment(preset, out_dir=tmp_path / "a")
         dr.run_experiment(preset, out_dir=tmp_path / "b")
-        for name in ("drift.csv", "solution.csv", "trace.json", "figure-ex3e.svg"):
+        for name in _BUNDLE_FILES:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
