@@ -25,7 +25,7 @@ from . import __version__
 from .errors import ConfigurationError, DataQualityError, DivergenceError
 from .forward import solve_forward
 from .inversion import IterationConfig, IterationTrace, error_metrics, run_iteration
-from .model import GridFunction, ProblemSpec, build_grids, validate_assumptions
+from .model import GridFunction, ProblemSpec, build_grids, sample_on, validate_assumptions
 from .mollify import (
     NoiseSpec,
     TikhonovConfig,
@@ -250,7 +250,8 @@ def mollify_data(
     spec = preset.spec
     n_pts = preset.data_points
     h_data = 1.0 / (n_pts - 1)
-    g_tilde = assemble_rhs(g_measured, spec.left_flux, float(spec.right_flux(spec.horizon)), h_data)
+    b2_T = float(sample_on(spec.right_flux, [spec.horizon])[0])
+    g_tilde = assemble_rhs(g_measured, spec.left_flux, b2_T, h_data)
     sigma_abs = noise_sigma(g_exact, preset.noise)
     lam = preset.tikhonov.lam
     if lam is None:
@@ -275,8 +276,10 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
     """Execute generate -> (mollify) -> restrict -> invert -> metrics.
 
     Inversion failures (divergence, hopeless data) are captured into the
-    bundle rather than raised, so comparative runs can examine them.  With
-    an `out_dir` the run also writes its four output files there.
+    bundle rather than raised, so comparative runs can examine them.  A
+    smoothing solve that fails raises its `IllPosedError` instead, before
+    any file is written.  With an `out_dir` the run also writes its four
+    output files there.
     """
     spec = preset.spec
     m, n = preset.solver_grid

@@ -20,8 +20,9 @@ right-hand side.  Only the levels that are read are multiplied back by D.
 `solve_forward` is the one time loop.  Whatever does not change from step
 to step is computed once per solve: d, the factors, the source row divided
 by d (f depends on x only), b[0] = -b1 and the right flux over d_m at every
-time level, sampled in one call.  A step is then `b = w/tau; b += f/d`, two
-scalar stores, one `dpttrs` and one finiteness check.
+time level, sampled in one call.  The sampled u^0, f and b2 must be finite.
+A step is then `b = w/tau; b += f/d`, two scalar stores and one `dpttrs`;
+the last two levels are checked for finiteness once, after the loop.
 
 The inversion reads the solution only at the final time, so `solve_forward`
 returns g = u^N and u_t = (u^N - u^{N-1})/tau.  The loop holds just the
@@ -40,11 +41,6 @@ from .errors import ConfigurationError, NumericalError, SingularSystemError
 from .model import GridFunction, GridPair, ProblemSpec, sample_on
 
 PIVOT_FLOOR = 1e-300
-# A step's finiteness check is w . (c, ..., c), NaN or +-inf exactly when w holds a
-# NaN or an inf.  It raises no numpy warning: c is not 0 (inf * 0 would warn), and a
-# dpttrs solution holds infs of one sign only, the multipliers of S being negative, so
-# no inf - inf arises.  c = 2^-600 keeps the sum of any finite w from overflowing.
-_CHECK_WEIGHT = 2.0**-600
 
 
 def assemble_step_matrix(
@@ -133,23 +129,30 @@ def solve_forward(
     x = grids.space.nodes
     tau = grids.time.tau
     u0 = sample_on(spec.initial, x)
-    if not np.all(np.isfinite(u0)):
-        raise ConfigurationError("initial condition sampled to non-finite values")
+    f_int = sample_on(spec.source, x[1:-1])
+    b2 = sample_on(spec.right_flux, grids.time.times[1:])
+    for name, values in (("initial condition", u0), ("source", f_int), ("right flux", b2)):
+        if not np.isfinite(values).all():
+            raise ConfigurationError(f"{name} sampled to non-finite values")
     f_d = np.zeros(x.size)  # the source row over d; b's boundary entries are overwritten
-    f_d[1:-1] = sample_on(spec.source, x[1:-1]) / d[1:-1]
-    right_d = (sample_on(spec.right_flux, grids.time.times[1:]) / d[-1]).tolist()
+    f_d[1:-1] = f_int / d[1:-1]
+    right_d = (b2 / d[-1]).tolist()
     left_flux = -float(spec.left_flux)
-    weights = np.full(x.size, _CHECK_WEIGHT)
 
     w_prev = w = u0 / d
-    for n, right in enumerate(right_d, start=1):
+    for right in right_d:
         b = w / tau
         b += f_d
         b[0] = left_flux
         b[-1] = right
         w_prev, w = w, dpttrs(p, l, b, overwrite_b=1)[0]
-        if not math.isfinite(w.dot(weights)):
-            raise NumericalError(f"forward solution became non-finite at step {n}")
+    # With finite inputs only an overflow makes a level non-finite.  A step reads the
+    # interior of the level before it, and dpttrs spreads a non-finite entry there to every
+    # node (S's multipliers are nonzero), so the two levels the result is made of show any
+    # that reaches it.  Checked before they are multiplied back by d, so no numpy warning
+    # (inf - inf) comes first.
+    if not (np.isfinite(w).all() and np.isfinite(w_prev).all()):
+        raise NumericalError("forward solution became non-finite")
     u_T = w * d
     prev = u0 if grids.time.n_steps == 1 else w_prev * d
     return u_T, (u_T - prev) / tau

@@ -49,7 +49,7 @@ _log = logging.getLogger(__name__)
 # own chi-square spread 1/sqrt(2K) = 0.7 % at K = 10001.
 _BRACKET_RATIO = 1.05
 
-# A search solve larger than this multiple of the data's sup norm counts as failed:
+# A search solve larger than this multiple of the data's sup norm raises IllPosedError:
 # the normal equations are near-singular there, so its residual measures rounding,
 # not the fit.  On the paper presets every search solve stays within 1.0x the data.
 _BLOWUP_RATIO = 1e6
@@ -294,18 +294,14 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
     and lose monotonicity.  Returns (lambda, g): g is the search's own
     solve at that lambda, so the mollified data costs no solve beyond the
     search.  If even the ceiling falls short, lambda_min = 1e-12 is
-    returned with a warning after 1 + 1 solves: the scan's one, and one at
-    lambda_min, without the blow-up check, that gives g; it raises
-    `IllPosedError` if lambda_min cannot be factored.
-    A solve fails on conditioning when its normal equations are not
-    positive definite or its solution exceeds 1e6 times ||g~||_inf.  The
-    scan passes over a failure above every reaching point and falls back to
-    lambda_min at a failure below one, as an ascending scan that stops at
-    its first failure would; a failure ends the bisection.  The search path
-    is logged once at DEBUG: the scan bracket, the solve counts, and either
-    the final bracket or the fallback, each with the returned lambda's
-    residual and the target.  In the fallback the scan bracket is
-    (lo, None), lo being the point that fell short, if any.
+    returned with a warning after 1 + 1 solves: the scan's one, and the
+    one at lambda_min that gives g.  Every solve, that one included, must
+    have positive definite normal equations and a solution within 1e6
+    times ||g~||_inf; a solve that fails either raises `IllPosedError`
+    naming its lambda.  The search path is logged once at DEBUG: the scan
+    bracket, the solve counts, and either the final bracket or the
+    fallback, each with the returned lambda's residual and the target.  In
+    the fallback the scan bracket is (ceiling, None).
     """
     fit, pen, rhs = normal_bands(g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
@@ -313,35 +309,26 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
     target = TikhonovConfig.discrepancy_target(n, sigma_abs)
     g_bound = _BLOWUP_RATIO * float(np.max(np.abs(g_tilde)))
     residuals = {}
-    kept = None  # the solution at the smallest lambda so far that reached the target
 
-    def reached(lam: float) -> bool:
-        nonlocal kept
+    def solve(lam: float) -> np.ndarray:
         g = _solve_bands(fit, pen, rhs, lam)
         if not np.max(np.abs(g)) <= g_bound:
             raise IllPosedError(
                 f"solution exceeds {_BLOWUP_RATIO:g} x ||g~||_inf (lambda={lam!r}): near-singular"
             )
         residuals[lam] = fit_residual(g, g_tilde)
-        if residuals[lam] < target:
-            return False
-        kept = g
-        return True
+        return g
 
     lam_max = TikhonovConfig.resolved_lambda_max(n)
-    lo = hi = None
+    lo = hi = kept = None  # kept: the solution at hi, the smallest lambda that reached
     n_bisect = 0
-    for n_grid, lam in enumerate(np.geomspace(_LAMBDA_MIN, lam_max, _GRID_POINTS)[::-1], 1):
-        try:
-            if not reached(float(lam)):
-                lo = float(lam)
-                break
-        except IllPosedError:
-            if hi is None:
-                continue  # above every reaching point: an ascending scan stops below it
-            hi = None  # below a reaching point: an ascending scan stops here and falls back
+    scan = np.geomspace(_LAMBDA_MIN, lam_max, _GRID_POINTS)[::-1].tolist()
+    for n_grid, lam in enumerate(scan, 1):
+        g = solve(lam)
+        if residuals[lam] < target:
+            lo = lam
             break
-        hi = float(lam)
+        hi, kept = lam, g
     bracket = (lo, hi)
     if hi is None:
         warnings.warn(
@@ -349,11 +336,11 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
             f"target {target:g}; returning lambda_min",
             stacklevel=2,
         )
-        g = _solve_bands(fit, pen, rhs, _LAMBDA_MIN)
+        g = solve(_LAMBDA_MIN)
         _log.debug(
             "lambda search: bracket %r, %d grid + 0 bisection solves, fallback to "
             "lambda_min %r, residual %r, target %r",
-            bracket, n_grid, _LAMBDA_MIN, fit_residual(g, g_tilde), target,
+            bracket, n_grid, _LAMBDA_MIN, residuals[_LAMBDA_MIN], target,
         )
         return _LAMBDA_MIN, g
     if lo is not None:
@@ -361,13 +348,11 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
         while hi > _BRACKET_RATIO * lo:
             mid = float(np.sqrt(lo) * np.sqrt(hi))
             n_bisect += 1
-            try:
-                if reached(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            except IllPosedError:
-                break  # keep the smallest lambda so far that solved and reached the target
+            g = solve(mid)
+            if residuals[mid] < target:
+                lo = mid
+            else:
+                hi, kept = mid, g
     _log.debug(
         "lambda search: bracket %r, %d grid + %d bisection solves, final bracket %r, "
         "lambda %r, residual %r, target %r",

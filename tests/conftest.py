@@ -100,7 +100,7 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs):
     geometric scan from 1e-12 to 1e14 * (K-1)^4, then log-lambda bisection
     until hi/lo <= 1.05; returns 1e-12 when nothing reaches the target.
     A solve that fails, or whose solution exceeds 1e6 times the data's sup
-    norm, ends the scan or the bisection."""
+    norm, raises IllPosedError."""
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
     target = 1.01 * np.sqrt(n) * sigma_abs
@@ -113,24 +113,18 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs):
 
     lo = hi = None
     for lam in np.geomspace(1e-12, 1e14 * float(n - 1) ** 4, 8):
-        try:
-            if reached(float(lam)):
-                hi = float(lam)
-                break
-        except IllPosedError:
+        if reached(float(lam)):
+            hi = float(lam)
             break
         lo = float(lam)
     if hi is None or lo is None:
         return 1e-12 if hi is None else hi
     while hi > 1.05 * lo:
         mid = float(np.sqrt(lo) * np.sqrt(hi))
-        try:
-            if reached(mid):
-                hi = mid
-            else:
-                lo = mid
-        except IllPosedError:
-            break
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
     return hi
 
 

@@ -198,6 +198,17 @@ class TestMollifyData:
         assert record["target"] == dr.TikhonovConfig.discrepancy_target(2001, record["sigma_abs"])
         assert np.all(np.isfinite(g_star))
 
+    def test_array_only_right_flux(self, tmp_path):
+        # b2(T) is sampled as the forward solve samples b2, so a flux that indexes its
+        # argument, which only an array allows, gives the preset's own bytes
+        preset = dr.make_preset("ex3e", data_points=2001, seed=7)
+        array_only = replace(preset, spec=replace(preset.spec, right_flux=lambda t: 1.0 + t[...]))
+        dr.run_experiment(preset, tmp_path / "own")
+        dr.run_experiment(array_only, tmp_path / "array_only")
+        for name in ("drift.csv", "trace.json"):
+            assert ((tmp_path / "array_only" / name).read_bytes()
+                    == (tmp_path / "own" / name).read_bytes())
+
     def test_discrepancy_search_without_noise_rejected(self):
         preset = dr.make_preset("ex1a", data_points=1001)
         g_exact, g_measured = dr.synthesize(preset)

@@ -302,25 +302,57 @@ class TestForwardSolve:
         assert peak < 1e6
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("node", [0, 4, 8])
+    def test_non_finite_step_raises(self, bad, node, monkeypatch):
+        # the result is made of the last two levels; an earlier level reaches them
+        # through its interior only (the flux rows overwrite b[0] and b[-1]), and the
+        # next steps spread it to every node.  The one check after the loop raises
+        # before any arithmetic that would warn (pytest turns a RuntimeWarning into an
+        # error)
+        grids = dr.build_grids(10, 10, 1.0)
+        n = grids.time.n_steps
+        q = dr.GridFunction.sample(grids.space, _constant(0.0))
+        spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(1.0),
+                              left_flux=0.0, right_flux=_constant(0.0), horizon=1.0)
+        for bad_step in (2, n - 1, n) if node else (n - 1, n):
+            steps = []
+
+            def spoiled(*args, **kwargs):
+                w, info = dpttrs(*args, **kwargs)
+                steps.append(info)
+                if len(steps) == bad_step:
+                    w[node] = bad
+                return w, info
+
+            monkeypatch.setattr("driftrec.forward.dpttrs", spoiled)
+            with pytest.raises(NumericalError, match="non-finite"):
+                dr.solve_forward(spec, q, grids)
+            assert len(steps) == n
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("node", [0, 4, 8])  # first, middle and last of 9 interior nodes
-    def test_non_finite_step_raises(self, bad, node):
+    def test_non_finite_input_raises(self, bad, node, monkeypatch):
+        # a non-finite source value at any interior node, or a right flux that turns
+        # non-finite after the first step, is a configuration error before any step
+        def no_step(*args, **kwargs):
+            raise AssertionError("solve_forward stepped on non-finite input")
+
+        monkeypatch.setattr("driftrec.forward.dpttrs", no_step)
         grids = dr.build_grids(10, 10, 1.0)
         tau = grids.time.tau
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
-        # a bad right flux from t = 2 tau on: step 1 is finite, step 2 is not
         spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(1.0),
                               left_flux=0.0, right_flux=lambda t: bad if t > 1.5 * tau else 0.0,
                               horizon=1.0)
-        with pytest.raises(NumericalError, match="non-finite at step 2"):
+        with pytest.raises(ConfigurationError, match="^right flux sampled to non-finite"):
             dr.solve_forward(spec, q, grids)
 
-        # a bad source value at any interior node spoils the first step
         def source(x):
             f = np.zeros_like(np.asarray(x, dtype=float))
             f[node] = bad
             return f
 
-        with pytest.raises(NumericalError, match="non-finite at step 1"):
+        with pytest.raises(ConfigurationError, match="^source sampled to non-finite"):
             dr.solve_forward(replace(spec, source=source, right_flux=_constant(0.0)), q, grids)
 
     def test_non_finite_initial_condition_raises(self):

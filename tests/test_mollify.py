@@ -8,9 +8,11 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dpbsv
 
 import driftrec as dr
 from driftrec import experiments, mollify
+from driftrec.cli import main
 from driftrec.errors import ConfigurationError, IllPosedError
 
 
@@ -24,60 +26,28 @@ def _scan_grid(n):
     return np.geomspace(1e-12, dr.TikhonovConfig.resolved_lambda_max(n), 8).tolist()
 
 
-def _fail_solves(monkeypatch, failed_solve, fails):
-    """Make every solve whose lambda satisfies `fails(lam)` return
-    `failed_solve(solve, *args)` instead."""
-    solve = mollify._solve_bands
+def _fail_solve(monkeypatch, failure, call):
+    """Make the `call`-th banded solve fail: `dpbsv` reports a leading minor
+    that is not positive, or returns a solution scaled past the blow-up bound."""
+    calls = []
 
-    def patched(fit, pen, rhs, lam):
-        if fails(lam):
-            return failed_solve(solve, fit, pen, rhs, lam)
-        return solve(fit, pen, rhs, lam)
+    def patched(ab, b, **kwargs):
+        ab, g, info = dpbsv(ab, b, **kwargs)
+        calls.append(None)
+        if len(calls) == call:
+            if failure == "not positive definite":
+                info = 7
+            else:
+                g = 1e7 * g
+        return ab, g, info
 
-    monkeypatch.setattr(mollify, "_solve_bands", patched)
-
-
-def _not_positive_definite(solve, fit, pen, rhs, lam):
-    raise IllPosedError(f"normal equations not positive definite (lambda={lam!r})")
-
-
-def _blown_up(solve, fit, pen, rhs, lam):
-    return 1e7 * solve(fit, pen, rhs, lam)
+    monkeypatch.setattr(mollify, "dpbsv", patched)
+    return calls
 
 
 def _search_counts(caplog):
     message = caplog.records[0].getMessage()
     return tuple(map(int, re.search(r"(\d+) grid \+ (\d+) bisection", message).groups()))
-
-
-def _bisection_ended_at_first_solve(s, monkeypatch, caplog, failed_solve):
-    grid = set(_scan_grid(s["g_tilde"].size))
-    _fail_solves(monkeypatch, failed_solve, lambda lam: lam not in grid)
-    with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-        lam, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
-    assert _search_counts(caplog)[1] == 1
-    assert lam in grid  # the scan's upper end, which solved and reached the target
-    assert np.array_equal(g_star, dr.solve_tikhonov(s["design"], s["penalty"], s["g_tilde"], lam))
-    target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
-    assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
-
-
-def _scan_failing_from_third_point(monkeypatch, caplog, failed_solve):
-    # noise far above the data scale: unpatched, all 8 scan points solve and
-    # fall short.  The scan passes over the six failed solves from the ceiling
-    # down, and the second point falls short and ends it in the fallback
-    n = 21
-    g_tilde = np.linspace(0.0, 1e-3, n)
-    design = dr.build_design_matrix(n)
-    penalty = dr.build_regularization_matrix(n)
-    third = _scan_grid(n)[2]
-    _fail_solves(monkeypatch, failed_solve, lambda lam: lam >= third)
-    with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-        with pytest.warns(UserWarning, match="returning lambda_min"):
-            lam, g_star = dr.select_lambda(g_tilde, 10.0)
-    assert lam == 1e-12
-    assert _search_counts(caplog) == (7, 0)
-    assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
 
 
 @pytest.fixture(scope="module")
@@ -385,20 +355,6 @@ class TestSelectLambda:
         residual = float(np.linalg.norm(s["design"] @ g_star - s["g_tilde"]))
         assert f"lambda {lam!r}, residual {residual!r}" in message and "target" in message
 
-    def test_factorization_failure_ends_scan(self, monkeypatch, caplog):
-        _scan_failing_from_third_point(monkeypatch, caplog, _not_positive_definite)
-
-    def test_near_singular_solve_not_accepted(self, monkeypatch, caplog):
-        # a blown-up solve would "reach" the target on its rounding residual
-        _scan_failing_from_third_point(monkeypatch, caplog, _blown_up)
-
-    def test_factorization_failure_ends_bisection(self, ex3e_noisy_setup, monkeypatch, caplog):
-        _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog,
-                                        _not_positive_definite)
-
-    def test_blown_up_solve_ends_bisection(self, ex3e_noisy_setup, monkeypatch, caplog):
-        _bisection_ended_at_first_solve(ex3e_noisy_setup, monkeypatch, caplog, _blown_up)
-
     def test_default_search_budget(self, ex3e_noisy_setup, caplog):
         s = ex3e_noisy_setup
         with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
@@ -496,46 +452,36 @@ class TestSelectLambda:
         assert lam == 1e-12 if interval == 7 else grid[interval] < lam <= grid[interval + 1]
         assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
 
-    def test_failed_ceiling_passed_over(self, tikhonov_reference, monkeypatch, caplog):
-        # noise at 0.1 of the data's scale crosses between the 4th and 5th scan
-        # points, so an ascending scan never solves at the ceiling and a ceiling
-        # that fails to factor must change nothing
-        _, reference_search = tikhonov_reference
-        n = 21
-        design = dr.build_design_matrix(n)
-        penalty = dr.build_regularization_matrix(n)
-        g_tilde = np.random.default_rng(3).standard_normal(n)
-        sigma = 0.1 * np.max(np.abs(g_tilde))
-        grid = _scan_grid(n)
-        _fail_solves(monkeypatch, _not_positive_definite, lambda lam: lam == grid[-1])
-        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            lam, g_star = dr.select_lambda(g_tilde, sigma)
-        assert _search_counts(caplog)[0] == 5  # the failed ceiling, three that reach, grid[3]
-        assert grid[3] < lam <= grid[4]
-        assert lam == reference_search(design, penalty, g_tilde, sigma)
-        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
-
-    def test_failure_below_a_reaching_point_falls_back(self, ex3e_noisy_setup, monkeypatch,
-                                                       caplog):
-        # the ceiling reaches the target, the point below it fails: an ascending
-        # scan stops at that failure and falls back to lambda_min
-        s = ex3e_noisy_setup
-        below_ceiling = _scan_grid(s["g_tilde"].size)[-2]
-        _fail_solves(monkeypatch, _not_positive_definite, lambda lam: lam == below_ceiling)
-        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            with pytest.warns(UserWarning, match="returning lambda_min"):
-                lam, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
-        assert lam == 1e-12
-        assert _search_counts(caplog) == (2, 0)
-        assert np.array_equal(g_star, dr.solve_tikhonov(s["design"], s["penalty"],
-                                                        s["g_tilde"], lam))
+    @pytest.mark.parametrize("where", ["ceiling", "below a reaching point",
+                                       "first bisection point"])
+    @pytest.mark.parametrize("failure", ["not positive definite", "blown up"])
+    def test_search_failure_raises(self, monkeypatch, capsys, tmp_path, failure, where):
+        # ex3e at K = 2001 and seed 7: the ceiling reaches the target, the scan point
+        # below it falls short, and the bisection starts between them.  A solve that
+        # fails either check there ends the run with IllPosedError naming its lambda,
+        # before any file is written, and the CLI exits with code 3
+        below, ceiling = _scan_grid(2001)[-2:]
+        lam, call = {"ceiling": (ceiling, 1), "below a reaching point": (below, 2),
+                     "first bisection point": (float(np.sqrt(below) * np.sqrt(ceiling)), 3)}[where]
+        message = re.escape(f"(lambda={lam!r})")
+        calls = _fail_solve(monkeypatch, failure, call)
+        with pytest.raises(IllPosedError, match=message):
+            dr.run_experiment(dr.make_preset("ex3e", data_points=2001, seed=7), tmp_path / "a")
+        assert len(calls) == call
+        calls.clear()
+        assert main(["invert", "ex3e", "--data-points", "2001", "--seed", "7",
+                     "--out", str(tmp_path / "b")]) == 3
+        assert re.search(message, capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     def test_fallback_solve_failure_raises(self, monkeypatch):
-        n = 21
-        _fail_solves(monkeypatch, _not_positive_definite, lambda lam: True)
-        with pytest.warns(UserWarning, match="returning lambda_min"):
-            with pytest.raises(IllPosedError, match="not positive definite"):
-                dr.select_lambda(np.linspace(0.0, 1.0, n), 0.01)
+        # noise far above the data scale: the ceiling falls short, and the lambda_min
+        # solve of the fallback passes the same two checks as every search solve
+        for failure in ("not positive definite", "blown up"):
+            _fail_solve(monkeypatch, failure, 2)
+            with pytest.warns(UserWarning, match="returning lambda_min"):
+                with pytest.raises(IllPosedError, match=re.escape("(lambda=1e-12)")):
+                    dr.select_lambda(np.linspace(0.0, 1e-3, 21), 10.0)
 
     def test_pipeline_solves_only_in_the_search(self, monkeypatch, caplog):
         # the mollified data is the search's own solution: one set of closed-form
@@ -568,9 +514,13 @@ class TestSelectLambda:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_default_scan_solves_within_bound(self, data):
-        # every default scan lambda factors and keeps the solution within the
-        # blow-up bound 1e6 * ||g~||_inf, whatever the data's shape and scale
+        # every default scan lambda, and lambdas drawn log-uniformly between 1e-12
+        # and the ceiling, where the bisection solves, factor and keep the solution
+        # within the blow-up bound 1e6 * ||g~||_inf, whatever the data's shape and scale
         n = data.draw(st.integers(3, 400), label="K")
+        log_max = np.log10(dr.TikhonovConfig.resolved_lambda_max(n))
+        drawn = data.draw(st.lists(st.floats(-12.0, log_max), min_size=1, max_size=8),
+                          label="log10 lambda")
         kind = data.draw(st.sampled_from(("uniform", "spike", "extreme", "linear")), label="kind")
         mag = st.floats(1e-300, 1e300).flatmap(lambda v: st.sampled_from((v, -v)))
         if kind == "uniform":
@@ -584,7 +534,7 @@ class TestSelectLambda:
         else:
             g_tilde = np.linspace(data.draw(mag), data.draw(mag), n)
         bands = mollify.normal_bands(g_tilde)
-        for lam in _scan_grid(n):
+        for lam in _scan_grid(n) + [10.0**e for e in drawn]:
             g = mollify._solve_bands(*bands, lam)
             assert np.max(np.abs(g)) <= 1e6 * np.max(np.abs(g_tilde))
 
