@@ -20,7 +20,8 @@ class SingularSystemError(NumericalError):
 
 
 class IllPosedError(NumericalError):
-    """A regularized least-squares system could not be factorized."""
+    """A regularized least-squares system could not be factorized, or no
+    lambda up to the ceiling reaches the discrepancy target."""
 
 
 class DataQualityError(NumericalError):

@@ -277,9 +277,10 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
 
     Inversion failures (divergence, hopeless data) are captured into the
     bundle rather than raised, so comparative runs can examine them.  A
-    smoothing solve that fails raises its `IllPosedError` instead, before
-    any file is written.  With an `out_dir` the run also writes its four
-    output files there.
+    smoothing solve that fails, or a lambda search that reaches the target
+    at no lambda up to the ceiling, raises its `IllPosedError` instead,
+    before any file is written.  With an `out_dir` the run also writes its
+    four output files there.
     """
     spec = preset.spec
     m, n = preset.solver_grid

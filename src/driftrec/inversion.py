@@ -40,8 +40,8 @@ class IterationConfig:
     def __post_init__(self):
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
-        if not (self.tol_step > 0.0):
-            raise ConfigurationError(f"tol_step must be > 0, got {self.tol_step}")
+        if not (self.tol_step > 0.0 and np.isfinite(self.tol_step)):
+            raise ConfigurationError(f"tol_step must be finite and > 0, got {self.tol_step}")
 
 
 @dataclass

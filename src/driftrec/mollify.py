@@ -32,7 +32,6 @@ benchmark; `normal_bands` equals `normal_equations` on them bit for bit.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,15 +292,14 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
     cond(A^T A + lambda R^T R) ~ 1e14 makes the residual jitter by 1-2 %
     and lose monotonicity.  Returns (lambda, g): g is the search's own
     solve at that lambda, so the mollified data costs no solve beyond the
-    search.  If even the ceiling falls short, lambda_min = 1e-12 is
-    returned with a warning after 1 + 1 solves: the scan's one, and the
-    one at lambda_min that gives g.  Every solve, that one included, must
-    have positive definite normal equations and a solution within 1e6
-    times ||g~||_inf; a solve that fails either raises `IllPosedError`
-    naming its lambda.  The search path is logged once at DEBUG: the scan
-    bracket, the solve counts, and either the final bracket or the
-    fallback, each with the returned lambda's residual and the target.  In
-    the fallback the scan bracket is (ceiling, None).
+    search.  If even the ceiling falls short, no lambda reaches the target:
+    the search raises `IllPosedError` after that one solve, naming the
+    ceiling, its residual, the target and K.  Every solve must have
+    positive definite normal equations and a solution within 1e6 times
+    ||g~||_inf; a solve that fails either raises `IllPosedError` naming its
+    lambda.  The search path is logged once at DEBUG: the scan bracket, the
+    solve counts and the final bracket, with the returned lambda's residual
+    and the target.
     """
     fit, pen, rhs = normal_bands(g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
@@ -329,20 +327,12 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
             lo = lam
             break
         hi, kept = lam, g
-    bracket = (lo, hi)
     if hi is None:
-        warnings.warn(
-            f"no lambda in [{_LAMBDA_MIN:g}, {lam_max:g}] reaches the discrepancy "
-            f"target {target:g}; returning lambda_min",
-            stacklevel=2,
+        raise IllPosedError(
+            f"no lambda up to the ceiling {lam!r} reaches the discrepancy target {target!r} "
+            f"at K = {n}: the residual there is {residuals[lam]!r}"
         )
-        g = solve(_LAMBDA_MIN)
-        _log.debug(
-            "lambda search: bracket %r, %d grid + 0 bisection solves, fallback to "
-            "lambda_min %r, residual %r, target %r",
-            bracket, n_grid, _LAMBDA_MIN, residuals[_LAMBDA_MIN], target,
-        )
-        return _LAMBDA_MIN, g
+    bracket = (lo, hi)
     if lo is not None:
         # residual is nondecreasing in lambda up to rounding; lo*hi may over- or underflow
         while hi > _BRACKET_RATIO * lo:

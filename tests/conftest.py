@@ -98,9 +98,9 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs):
     """Discrepancy search with one full reference solve and one sparse
     residual product per lambda: target 1.01 * sqrt(K) * sigma, an 8-point
     geometric scan from 1e-12 to 1e14 * (K-1)^4, then log-lambda bisection
-    until hi/lo <= 1.05; returns 1e-12 when nothing reaches the target.
-    A solve that fails, or whose solution exceeds 1e6 times the data's sup
-    norm, raises IllPosedError."""
+    until hi/lo <= 1.05.  Raises IllPosedError when nothing up to the
+    ceiling reaches the target, and when a solve fails or its solution
+    exceeds 1e6 times the data's sup norm."""
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
     target = 1.01 * np.sqrt(n) * sigma_abs
@@ -117,8 +117,10 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs):
             hi = float(lam)
             break
         lo = float(lam)
-    if hi is None or lo is None:
-        return 1e-12 if hi is None else hi
+    if hi is None:
+        raise IllPosedError(f"no lambda up to the ceiling reaches the target {target!r}")
+    if lo is None:
+        return hi
     while hi > 1.05 * lo:
         mid = float(np.sqrt(lo) * np.sqrt(hi))
         if reached(mid):

@@ -52,7 +52,7 @@ class TestExitCodes:
         assert "data_points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--seed", "-1"], ["--noise", "-0.01"],
-                                       ["--lambda", "1e31"]])
+                                       ["--lambda", "1e31"], ["--tol", "inf"], ["--tol", "1e400"]])
     def test_out_of_range_value(self, flags, capsys):
         assert main(["invert", "ex3e", *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -182,3 +182,12 @@ class TestModuleEntryPoint:
         run = self._run(["invert", "ex1a", "--data-points", "1001", "--seed", "11"], tmp_path)
         assert run.returncode == 2
         assert "--seed 11 has no effect" in run.stderr
+
+    def test_search_reaching_no_lambda_exits_3(self, tmp_path):
+        # no lambda up to the ceiling reaches the target: exit 3 under warnings as errors
+        # too, since the search warns nothing, and no output directory
+        run = self._run(["invert", "ex3e", "--data-points", "2001", "--noise", "0.05",
+                         "--seed", "7", "--out", "out"], tmp_path)
+        assert run.returncode == 3, run.stderr
+        assert "numerical failure: no lambda up to the ceiling" in run.stderr
+        assert not any(tmp_path.iterdir())

@@ -36,6 +36,11 @@ def _values(**float_kwargs):
     return st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(**float_kwargs))
 
 
+def _not_json(constant):
+    """`parse_constant` for `json.loads`: the constants Python writes for non-finite floats."""
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 class TestPresets:
     def test_registry_names(self):
         assert dr.PRESET_NAMES == ("ex1a", "ex1b", "ex2c", "ex2d", "ex3e", "ex3f")
@@ -276,7 +281,8 @@ class TestEmitOutputs:
 
     def test_trace_json_round_trip(self, bundle_dir):
         bundle, out = bundle_dir
-        doc = json.loads((out / "trace.json").read_text())
+        # strict JSON (RFC 8259): Infinity, -Infinity and NaN are not numbers there
+        doc = json.loads((out / "trace.json").read_text(), parse_constant=_not_json)
         assert doc["metrics"]["rel_l2"] == bundle.metrics["rel_l2"]
         assert doc["metrics"]["rel_linf"] == bundle.metrics["rel_linf"]
         assert doc["iteration"]["step_norms"] == [float(s) for s in bundle.trace.step_norms]

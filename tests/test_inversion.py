@@ -162,6 +162,9 @@ class TestRunIteration:
             dr.IterationConfig(max_iter=2.5, tol_step=1e-4)
         with pytest.raises(ConfigurationError, match="tol_step"):
             dr.IterationConfig(max_iter=3, tol_step=0.0)
+        # trace.json records tol_step, and JSON has no Infinity
+        with pytest.raises(ConfigurationError, match="tol_step must be finite"):
+            dr.IterationConfig(max_iter=3, tol_step=float("inf"))
 
 
 class TestErrorMetrics:

@@ -1,4 +1,3 @@
-import contextlib
 import logging
 import re
 
@@ -43,6 +42,26 @@ def _fail_solve(monkeypatch, failure, call):
 
     monkeypatch.setattr(mollify, "dpbsv", patched)
     return calls
+
+
+def _matches_oracle(reference_search, g_tilde, sigma):
+    """Run `select_lambda` against the ascending-scan oracle: the same lambda,
+    with the search's own solve at it, or IllPosedError from both when no
+    lambda up to the ceiling reaches the target.  Returns the lambda, or None."""
+    n = g_tilde.size
+    design = dr.build_design_matrix(n)
+    penalty = dr.build_regularization_matrix(n)
+    try:
+        expected_lam = reference_search(design, penalty, g_tilde, sigma)
+    except IllPosedError as exc:
+        assert "no lambda up to the ceiling" in str(exc)
+        with pytest.raises(IllPosedError, match="no lambda up to the ceiling"):
+            dr.select_lambda(g_tilde, sigma)
+        return None
+    lam, g_star = dr.select_lambda(g_tilde, sigma)
+    assert lam == expected_lam
+    assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+    return lam
 
 
 def _search_counts(caplog):
@@ -368,42 +387,42 @@ class TestSelectLambda:
         target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
         assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
-    def test_no_qualifying_lambda_warns(self, caplog):
-        # noise far larger than the data scale: no lambda up to the ceiling reaches the target
+    def test_no_qualifying_lambda_raises(self, monkeypatch):
+        # noise far larger than the data scale: even the ceiling falls short of the target,
+        # so no lambda reaches it and the search ends after that one solve
         n = 21
         g = np.linspace(0.0, 1e-3, n)
-        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            with pytest.warns(UserWarning, match="no lambda in .* reaches .*returning lambda_min"):
-                lam, g_star = dr.select_lambda(g, 10.0)
-        assert lam == 1e-12
-        assert _search_counts(caplog) == (1, 0)
-        # the fallback is logged as one: the scan bracket, below the ceiling that fell
-        # short, and the residual of the lambda_min solve, with no final bracket
-        message = caplog.records[0].getMessage()
+        design = dr.build_design_matrix(n)
+        penalty = dr.build_regularization_matrix(n)
         ceiling = dr.TikhonovConfig.resolved_lambda_max(n)
-        residual = float(np.linalg.norm(dr.build_design_matrix(n) @ g_star - g))
-        assert f"bracket {(ceiling, None)!r}," in message
-        assert f"fallback to lambda_min 1e-12, residual {residual!r}," in message
-        assert "final bracket" not in message
+        residual = float(np.linalg.norm(design @ dr.solve_tikhonov(design, penalty, g, ceiling)
+                                         - g))
+        target = dr.TikhonovConfig.discrepancy_target(n, 10.0)
+        solved = []
+        original = mollify._solve_bands
+
+        def recorded(fit, pen, rhs, lam):
+            solved.append(lam)
+            return original(fit, pen, rhs, lam)
+
+        monkeypatch.setattr(mollify, "_solve_bands", recorded)
+        with pytest.raises(IllPosedError) as info:
+            dr.select_lambda(g, 10.0)
+        assert solved == [ceiling]
+        assert str(info.value) == (
+            f"no lambda up to the ceiling {ceiling!r} reaches the discrepancy target {target!r} "
+            f"at K = {n}: the residual there is {residual!r}"
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
            noise=st.sampled_from((0.0, 0.05, 1e3)))
     def test_returns_the_solve_at_its_lambda(self, tikhonov_reference, n, seed, noise):
         # noise 0 stops at the first scan point, 0.05 of the data's scale
-        # usually bisects, 1e3 never reaches the target and falls back
+        # usually bisects, 1e3 never reaches the target and raises
         _, reference_search = tikhonov_reference
-        design = dr.build_design_matrix(n)
-        penalty = dr.build_regularization_matrix(n)
         g_tilde = np.random.default_rng(seed).standard_normal(n)
-        sigma = noise * np.max(np.abs(g_tilde))
-        expected_lam = reference_search(design, penalty, g_tilde, sigma)
-        falls_back = sigma > 0.0 and expected_lam == 1e-12
-        with (pytest.warns(UserWarning, match="returning lambda_min") if falls_back
-              else contextlib.nullcontext()):
-            lam, g_star = dr.select_lambda(g_tilde, sigma)
-        assert lam == expected_lam
-        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+        _matches_oracle(reference_search, g_tilde, noise * np.max(np.abs(g_tilde)))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
@@ -414,24 +433,16 @@ class TestSelectLambda:
         # crossing lands in the 2nd to 6th of the 7 scan intervals or past the
         # ceiling; the next test places it in each interval by construction
         _, reference_search = tikhonov_reference
-        design = dr.build_design_matrix(n)
-        penalty = dr.build_regularization_matrix(n)
         g_tilde = np.random.default_rng(seed).standard_normal(n)
-        sigma = 10.0 ** log_noise * np.max(np.abs(g_tilde))
-        expected_lam = reference_search(design, penalty, g_tilde, sigma)
-        with (pytest.warns(UserWarning, match="returning lambda_min") if expected_lam == 1e-12
-              else contextlib.nullcontext()):
-            lam, g_star = dr.select_lambda(g_tilde, sigma)
-        assert lam == expected_lam
-        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+        _matches_oracle(reference_search, g_tilde, 10.0 ** log_noise * np.max(np.abs(g_tilde)))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 200), seed=st.integers(0, 2**32 - 1),
            interval=st.integers(0, 7), where=st.floats(0.01, 0.99))
     def test_descending_scan_finds_each_interval(self, tikhonov_reference, n, seed,
                                                  interval, where):
-        # the target sits inside scan interval `interval` (7: past the ceiling),
-        # placed between the oracle's residuals at the grid points around it
+        # the target sits inside scan interval `interval` (7: past the ceiling, which
+        # raises), placed between the oracle's residuals at the grid points around it
         reference_solve, reference_search = tikhonov_reference
         design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
@@ -443,14 +454,8 @@ class TestSelectLambda:
             target = residuals[interval] + where * (residuals[interval + 1] - residuals[interval])
         else:
             target = (1.0 + where) * residuals[7]
-        sigma = target / (1.01 * np.sqrt(n))
-        expected_lam = reference_search(design, penalty, g_tilde, sigma)
-        with (pytest.warns(UserWarning, match="returning lambda_min") if interval == 7
-              else contextlib.nullcontext()):
-            lam, g_star = dr.select_lambda(g_tilde, sigma)
-        assert lam == expected_lam
-        assert lam == 1e-12 if interval == 7 else grid[interval] < lam <= grid[interval + 1]
-        assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
+        lam = _matches_oracle(reference_search, g_tilde, target / (1.01 * np.sqrt(n)))
+        assert lam is None if interval == 7 else grid[interval] < lam <= grid[interval + 1]
 
     @pytest.mark.parametrize("where", ["ceiling", "below a reaching point",
                                        "first bisection point"])
@@ -474,14 +479,18 @@ class TestSelectLambda:
         assert re.search(message, capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
 
-    def test_fallback_solve_failure_raises(self, monkeypatch):
-        # noise far above the data scale: the ceiling falls short, and the lambda_min
-        # solve of the fallback passes the same two checks as every search solve
-        for failure in ("not positive definite", "blown up"):
-            _fail_solve(monkeypatch, failure, 2)
-            with pytest.warns(UserWarning, match="returning lambda_min"):
-                with pytest.raises(IllPosedError, match=re.escape("(lambda=1e-12)")):
-                    dr.select_lambda(np.linspace(0.0, 1e-3, 21), 10.0)
+    def test_no_qualifying_lambda_ends_the_run(self, capsys, tmp_path):
+        # ex3e at K = 2001, 5 % noise and seed 7: even the ceiling falls short of the
+        # target.  The run ends with IllPosedError before any file is written, and the
+        # CLI exits with code 3; unsmoothed data never reaches the inversion
+        message = "no lambda up to the ceiling .* reaches the discrepancy target"
+        preset = dr.make_preset("ex3e", data_points=2001, noise_level=0.05, seed=7)
+        with pytest.raises(IllPosedError, match=message):
+            dr.run_experiment(preset, tmp_path / "a")
+        assert main(["invert", "ex3e", "--data-points", "2001", "--noise", "0.05", "--seed", "7",
+                     "--out", str(tmp_path / "b")]) == 3
+        assert re.search(message, capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     def test_pipeline_solves_only_in_the_search(self, monkeypatch, caplog):
         # the mollified data is the search's own solution: one set of closed-form
