@@ -31,16 +31,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _parse_lambda(text: str) -> float | None:
-    if text == "auto":
-        return None
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"--lambda expects a number or 'auto', got {text!r}") from exc
-    return value
-
-
 # Flags that override a preset field; each dest is its make_preset keyword.
 _PRESET_FLAGS = {
     "--grid-m": dict(dest="grid_m", type=int, help="spatial interval count"),
@@ -48,7 +38,7 @@ _PRESET_FLAGS = {
     "--refine": dict(dest="refinement", type=int, help="data-generation refinement factor"),
     "--data-points": dict(dest="data_points", type=int, help="data grid size"),
     "--noise": dict(dest="noise_level", type=float, help="relative noise level, e.g. 0.01"),
-    "--lambda": dict(dest="lam", type=_parse_lambda, help="penalty weight, a number or 'auto'"),
+    "--lambda": dict(dest="lam", type=float, help="fixed penalty weight (default: discrepancy search)"),
     "--no-mollify": dict(dest="mollify", action="store_false", help="skip data mollification"),
     "--seed": dict(dest="seed", type=int, help="noise RNG seed"),
     "--max-iter": dict(dest="max_iter", type=int, help="fixed-point iteration budget"),

@@ -47,42 +47,37 @@ from .svgplot import line_plot_svg
 # ---------------------------------------------------------------------------
 
 def drift_sine(x):
-    return np.sin(np.asarray(x, dtype=float))
+    return np.sin(x)
 
 
 def drift_parabolic_join(x):
-    x = np.asarray(x, dtype=float)
     return np.where(x <= 0.5, x**2, -(x**2) + 2.0 * x - 0.5)
 
 
 def drift_hat(x):
-    x = np.asarray(x, dtype=float)
     return np.where(x <= 0.5, x, 1.0 - x)
 
 
 def drift_sawtooth(x):
-    x = np.asarray(x, dtype=float)
     centers = 0.1 + 0.2 * np.clip(np.floor(x / 0.2), 0, 4)
     return 20.0 * np.abs(x - centers) - 1.0
 
 
 def drift_staircase(x):
-    x = np.asarray(x, dtype=float)
     on = ((x > 0.25) & (x <= 0.5)) | (x > 0.75)
     return np.where(on, 1.0, 0.0)
 
 
 def drift_plateau_ramp(x):
-    x = np.asarray(x, dtype=float)
     return np.where((x >= 0.2) & (x <= 0.8), 0.5 * x, -1.0)
 
 
 def _reference_spec(horizon: float) -> ProblemSpec:
     """The shared coefficient set of all reference experiments."""
     return ProblemSpec(
-        source=lambda x: 10.0 + 10.0 * np.asarray(x, dtype=float),
+        source=lambda x: 10.0 + 10.0 * x,
         potential=5.0,
-        initial=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
+        initial=lambda x: np.sin(np.pi * x),
         left_flux=1.0,
         right_flux=lambda t: 1.0 + t,
         horizon=horizon,

@@ -25,33 +25,21 @@ _AUDIT_POINTS = 1001
 
 
 def sample_on(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function on an array of points, tolerating
-    callables that only accept scalars or that return scalars.
+    """Evaluate a problem function with one call on a float array of points.
 
-    A callable that gives anything but one value per point, even point by
-    point, raises ConfigurationError naming it.
+    `fn` gives one value per point, or one scalar for all of them; any other
+    shape raises ConfigurationError naming it.
     """
     xs = np.asarray(xs, dtype=float)
-    try:
-        out = np.asarray(fn(xs), dtype=float)
-    except (TypeError, ValueError):
-        out = np.asarray([fn(float(x)) for x in xs], dtype=float)
+    out = np.asarray(fn(xs), dtype=float)
     if out.ndim == 0:
         out = np.full(xs.shape, float(out))
-    if out.shape != xs.shape:
-        out = np.asarray([fn(float(x)) for x in xs], dtype=float)
     if out.shape != xs.shape:
         name = getattr(fn, "__qualname__", None) or repr(fn)
         raise ConfigurationError(
             f"{name} must give one value per point: {xs.shape} points gave shape {out.shape}"
         )
     return out
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -112,13 +100,16 @@ class ProblemSpec:
 
     The source f depends on x only: the forward solve samples it once, and
     the inversion's constants q0 = [f + g'' - C_p g]/g' read the same f.
+    Each function is sampled with `sample_on`: it takes a float array of
+    points (x, or t for the right flux) and gives one value per point, or
+    one scalar for all of them.
     """
 
     source: Callable[[np.ndarray], np.ndarray]
     potential: float
     initial: Callable[[np.ndarray], np.ndarray]
     left_flux: float
-    right_flux: Callable[[float], float]
+    right_flux: Callable[[np.ndarray], np.ndarray]
     horizon: float
 
     def __post_init__(self):
@@ -138,14 +129,15 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a private copy
         if vals.shape != (self.grid.m + 1,):
             raise ConfigurationError(
                 f"grid function needs {self.grid.m + 1} values, got shape {vals.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise ConfigurationError("grid function values must all be finite")
-        object.__setattr__(self, "values", _readonly(vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def sample(cls, grid: SpatialGrid, fn: Callable) -> "GridFunction":

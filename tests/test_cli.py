@@ -52,7 +52,8 @@ class TestExitCodes:
         assert "data_points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--seed", "-1"], ["--noise", "-0.01"],
-                                       ["--lambda", "1e31"], ["--tol", "inf"], ["--tol", "1e400"]])
+                                       ["--lambda", "1e31"], ["--tol", "inf"], ["--tol", "1e400"],
+                                       ["--lambda", "nan"]])
     def test_out_of_range_value(self, flags, capsys):
         assert main(["invert", "ex3e", *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
@@ -126,14 +127,10 @@ class TestCommands:
         for key in ("lambda", "residual", "sigma_abs", "data_points"):
             assert doc[key] == record[key]
 
-    def test_lambda_auto_is_the_default(self, tmp_path, capsys):
-        # 'auto' runs the discrepancy search, exactly as leaving --lambda off does
-        argv = ["invert", "ex3e", "--data-points", "2001", "--seed", "7"]
-        assert main([*argv, "--lambda", "auto", "--out", str(tmp_path / "auto")]) == 0
-        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
-        for name in ("drift.csv", "trace.json"):
-            assert ((tmp_path / "auto" / name).read_bytes()
-                    == (tmp_path / "default" / name).read_bytes())
+    def test_lambda_auto_rejected(self, capsys):
+        # --lambda takes a number; leaving it off is the only way to ask for the search
+        assert main(["invert", "ex3e", "--data-points", "2001", "--lambda", "auto"]) == 2
+        assert "--lambda" in capsys.readouterr().err
 
     def test_fixed_lambda_accepted(self, tmp_path):
         code = main(["invert", "ex3e", "--lambda", "1e24", "--data-points", "2001",

@@ -342,7 +342,7 @@ class TestForwardSolve:
         tau = grids.time.tau
         q = dr.GridFunction.sample(grids.space, _constant(0.0))
         spec = dr.ProblemSpec(source=_constant(0.0), potential=5.0, initial=_constant(1.0),
-                              left_flux=0.0, right_flux=lambda t: bad if t > 1.5 * tau else 0.0,
+                              left_flux=0.0, right_flux=lambda t: np.where(t > 1.5 * tau, bad, 0.0),
                               horizon=1.0)
         with pytest.raises(ConfigurationError, match="^right flux sampled to non-finite"):
             dr.solve_forward(spec, q, grids)

@@ -99,6 +99,16 @@ class TestDriftUpdate:
         target(violation, label="order violation")
         assert violation <= 1e-6
 
+    def test_overflow_raises(self, ex1_setup):
+        # q0 - u_t/slope is finite, but the boundary extrapolation 2 k_1 - k_2 overflows:
+        # a NumericalError, which ends the run as failed, not a GridFunction's ConfigurationError
+        setup = ex1_setup
+        space = setup["grids"].space
+        q0 = dr.GridFunction(space, np.full(space.m + 1, -1.7e308))
+        slope = np.full(space.m - 1, 1e-300)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            dr.drift_update(setup["q_true"], q0, slope, setup["spec"], setup["grids"])
+
     def test_deterministic(self, ex1_setup):
         setup = ex1_setup
         q0, slope, _ = dr.data_terms(setup["data"], setup["spec"])

@@ -85,11 +85,6 @@ class TestStencils:
 
 
 class TestSampleOn:
-    def test_scalar_only_callable_is_evaluated_per_point(self):
-        xs = np.linspace(0.0, 1.0, 7)
-        out = dr.sample_on(math.sin, xs)  # raises TypeError on arrays
-        assert np.array_equal(out, [math.sin(v) for v in xs])
-
     def test_scalar_result_is_broadcast(self):
         calls = []
 
@@ -102,20 +97,42 @@ class TestSampleOn:
         assert out.dtype == float and np.array_equal(out, np.full(7, 10.0))
         assert len(calls) == 1  # one call on the whole array, not one per point
 
-    def test_wrong_shape_falls_back_to_points(self):
-        # written for scalars: an array gets back a row vector, not one value per point
+    def test_one_call_on_the_points(self):
+        calls = []
+
         def fn(x):
+            calls.append(x)
+            return 2.0 * x
+
+        xs = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(dr.sample_on(fn, xs), 2.0 * xs)
+        assert len(calls) == 1 and np.array_equal(calls[0], xs)
+
+    def test_scalar_only_callable_is_evaluated_per_point(self):
+        # no longer: a function that cannot take an array raises its own error
+        xs = np.linspace(0.0, 1.0, 7)
+        with pytest.raises(TypeError):
+            dr.sample_on(math.sin, xs)
+
+    def test_wrong_shape_falls_back_to_points(self):
+        # no longer: a function written for scalars that gives an array a row vector
+        # is called once and rejected, not retried point by point
+        calls = []
+
+        def fn(x):
+            calls.append(x)
             return 2.0 * x if np.ndim(x) == 0 else np.atleast_2d(2.0 * x)
 
         xs = np.linspace(0.0, 1.0, 7)
-        out = dr.sample_on(fn, xs)
-        assert out.shape == (7,) and np.array_equal(out, 2.0 * xs)
+        with pytest.raises(ConfigurationError, match=r"fn must give one value per point.*\(1, 7\)"):
+            dr.sample_on(fn, xs)
+        assert len(calls) == 1 and np.array_equal(calls[0], xs)
 
     def test_per_point_sequence_rejected(self):
         def pair(x):
             return [x, x]
 
-        with pytest.raises(ConfigurationError, match=r"pair must give one value per point.*\(5, 2\)"):
+        with pytest.raises(ConfigurationError, match=r"pair must give one value per point.*\(2, 5\)"):
             dr.sample_on(pair, np.linspace(0.0, 1.0, 5))
         spec = dr.ProblemSpec(source=lambda x: 10.0, potential=5.0, initial=np.sin,
                               left_flux=1.0, right_flux=lambda t: 1.0 + t, horizon=1.0)
@@ -148,6 +165,18 @@ class TestProblemSpec:
         with pytest.raises(ConfigurationError, match="potential"):
             dr.ProblemSpec(source=lambda x: x, potential=0.0, initial=lambda x: x,
                            left_flux=0.0, right_flux=lambda t: t, horizon=1.0)
+
+    @pytest.mark.parametrize("left_flux", [np.nan, np.inf])
+    def test_non_finite_left_flux_rejected(self, left_flux):
+        with pytest.raises(ConfigurationError, match="left_flux"):
+            dr.ProblemSpec(source=lambda x: x, potential=1.0, initial=lambda x: x,
+                           left_flux=left_flux, right_flux=lambda t: t, horizon=1.0)
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_horizon_rejected(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            dr.ProblemSpec(source=lambda x: x, potential=1.0, initial=lambda x: x,
+                           left_flux=0.0, right_flux=lambda t: t, horizon=horizon)
 
 
 class TestAssumptions:
