@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .errors import (
     ConfigurationError,
-    DataQualityError,
     DivergenceError,
     IllPosedError,
     NumericalError,
-    SingularSystemError,
 )
 from .model import (
     GridFunction,
@@ -63,9 +61,7 @@ __all__ = [
     "__version__",
     "ConfigurationError",
     "NumericalError",
-    "SingularSystemError",
     "IllPosedError",
-    "DataQualityError",
     "DivergenceError",
     "SpatialGrid",
     "TemporalGrid",

@@ -1,8 +1,11 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy: one class per decision a caller makes.
 
-Two broad families matter for callers (and for CLI exit codes): bad inputs
-or setup (`ConfigurationError`) versus computations that went numerically
-wrong (`NumericalError` and its subclasses).
+The CLI exits 2 on a `ConfigurationError` (bad input or setup) and 3 on a
+`NumericalError`; `run_iteration` ends on a `NumericalError` from an update
+and attaches its trace; `run_experiment` records a `DivergenceError` (a
+failed inversion) as a `failed` run that still writes its files; perfbench
+counts `IllPosedError` (a failed smoothing step, raised before any file is
+written) by name.
 """
 
 
@@ -14,24 +17,18 @@ class NumericalError(RuntimeError):
     """A computation failed numerically (blow-up, singular system, ...)."""
 
 
-class SingularSystemError(NumericalError):
-    """A linear solve hit a zero or effectively-zero pivot, or a step matrix
-    could not be symmetrized."""
-
-
 class IllPosedError(NumericalError):
-    """A regularized least-squares system could not be factorized, or no
-    lambda up to the ceiling reaches the discrepancy target."""
-
-
-class DataQualityError(NumericalError):
-    """Measurement data too rough to differentiate; mollify it first."""
+    """A regularized least-squares system could not be factorized, a search
+    solve exceeded 1e6 x ||g~||_inf, or no lambda up to the ceiling reaches
+    the discrepancy target."""
 
 
 class DivergenceError(NumericalError):
-    """The fixed-point iteration produced a non-finite iterate.
+    """The inversion failed: the data could not be differentiated, or an
+    update left the drift bound |q| h < 2 or became non-finite.
 
-    Carries the partial `trace` so the run can be examined post mortem.
+    Carries the partial `trace` so the run can be examined post mortem; it
+    is None when the data failed before any update ran.
     """
 
     def __init__(self, message, trace=None):

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DataQualityError, DivergenceError
+from .errors import ConfigurationError, DivergenceError
 from .forward import solve_forward
 from .inversion import IterationConfig, IterationTrace, error_metrics, run_iteration
 from .model import GridFunction, ProblemSpec, build_grids, sample_on, validate_assumptions
@@ -270,8 +270,8 @@ def mollify_data(
 def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) -> ResultBundle:
     """Execute generate -> (mollify) -> restrict -> invert -> metrics.
 
-    Inversion failures (divergence, hopeless data) are captured into the
-    bundle rather than raised, so comparative runs can examine them.  A
+    A failed inversion (`DivergenceError`: divergence or hopeless data) is
+    captured into the bundle rather than raised, so runs can be compared.  A
     smoothing solve that fails, or a lambda search that reaches the target
     at no lambda up to the ceiling, raises its `IllPosedError` instead,
     before any file is written.  With an `out_dir` the run also writes its
@@ -303,9 +303,6 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
         status = "failed"
         error = str(exc)
         trace = exc.trace
-    except DataQualityError as exc:
-        status = "failed"
-        error = str(exc)
 
     assumptions = validate_assumptions(spec, q_true_grid, data=data_grid_fn)
 

@@ -37,7 +37,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import ConfigurationError, NumericalError, SingularSystemError
+from .errors import ConfigurationError, NumericalError
 from .model import GridFunction, GridPair, ProblemSpec, sample_on
 
 PIVOT_FLOOR = 1e-300
@@ -88,7 +88,7 @@ def _ldl_factor(lower, diag, upper):
     """Symmetrize the bands of M and factor S = D^-1 M D with `dpttrf`.
 
     Returns D's diagonal d and the factors (p, l) of S = L diag(p) L^T that
-    `dpttrs` takes.  Raises SingularSystemError naming the first row with
+    `dpttrs` takes.  Raises NumericalError naming the first row with
     an off-diagonal that is not negative (for a step matrix, the first
     node with |q| h >= 2), the first node where d is not finite and
     positive, or the first pivot below PIVOT_FLOOR (S not positive
@@ -96,7 +96,7 @@ def _ldl_factor(lower, diag, upper):
     """
     row = np.flatnonzero(~(np.r_[True, lower < 0.0] & np.r_[upper < 0.0, True]))
     if row.size:
-        raise SingularSystemError(
+        raise NumericalError(
             f"the step matrix cannot be symmetrized: an off-diagonal of row {row[0]} is not "
             f"negative (|q| h >= 2 at node {row[0]})"
         )
@@ -105,14 +105,14 @@ def _ldl_factor(lower, diag, upper):
         d = np.cumprod(np.r_[1.0, ratio])
     node = np.flatnonzero(~((d > 0.0) & (d < math.inf)))
     if node.size:
-        raise SingularSystemError(
+        raise NumericalError(
             f"the step matrix cannot be symmetrized: d is not finite and positive at node "
             f"{node[0]}"
         )
     p, l, _ = dpttrf(diag, upper * ratio)
     tiny = np.flatnonzero(~(p >= PIVOT_FLOOR))
     if tiny.size:
-        raise SingularSystemError(f"non-positive pivot in row {tiny[0]}")
+        raise NumericalError(f"non-positive pivot in row {tiny[0]}")
     return d, p, l
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DataQualityError, DivergenceError, NumericalError
+from .errors import ConfigurationError, DivergenceError, NumericalError
 from .forward import solve_forward
 from .model import GridFunction, GridPair, ProblemSpec, centered_first, centered_second, sample_on
 
@@ -81,23 +81,24 @@ def data_terms(data: GridFunction, spec: ProblemSpec) -> tuple[GridFunction, np.
 
     Returns the upper-bound guess q0 = [f + g'' - C_p g] / g' on the data
     grid, the interior slopes g' with the positivity floor applied, and the
-    number of nodes that hit the floor.  Raises `DataQualityError` when no
-    interior slope is positive or more than 20% of them sit at the floor;
-    data that rough needs mollification first.
+    number of nodes that hit the floor.  Raises `DivergenceError`, with no
+    trace since no update ran, when no interior slope is positive or more
+    than 20% of them sit at the floor; data that rough needs mollification
+    first.
     """
     grid = data.grid
     slope = centered_first(data.values, grid.h)
     scale = float(np.max(slope))
     if scale <= 0.0:
         # every slope would sit below any positive floor
-        raise DataQualityError("the data has no increasing interior slope; "
-                               "mollify it or check that it is final-time data")
+        raise DivergenceError("the data has no increasing interior slope; "
+                              "mollify it or check that it is final-time data")
     floor = _DENOM_FLOOR * scale
     hits = int(np.count_nonzero(slope < floor))
     slope = np.maximum(slope, floor)
     n_int = grid.m - 1
     if hits > 0.2 * n_int:
-        raise DataQualityError(
+        raise DivergenceError(
             f"{hits} of {n_int} interior data slopes hit the safeguard floor; "
             "the data is too rough to differentiate - mollify it first"
         )
@@ -141,8 +142,8 @@ def run_iteration(
 
     Returns the first iterate whose fixed-point residual is below the
     tolerance (the last computed iterate if the budget runs out), plus the
-    full trace.  A non-finite iterate raises `DivergenceError` carrying the
-    partial trace.
+    full trace.  An update that fails numerically raises `DivergenceError`
+    carrying the partial trace.
     """
     q0, slope, hits = data_terms(data, spec)
     q_cur = q0

@@ -119,7 +119,12 @@ def add_noise(g_exact: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     if g.size < 3:
         raise ConfigurationError(f"need at least 3 data points, got {g.size}")
     rng = np.random.default_rng(noise.seed)
-    return g + noise_sigma(g, noise) * rng.standard_normal(g.shape)
+    with np.errstate(over="ignore"):
+        error = noise_sigma(g, noise) * rng.standard_normal(g.shape)
+        if not np.isfinite(error @ error):
+            raise ConfigurationError(f"noise level {noise.level!r}: the squared 2-norm of the "
+                                     "data error overflows")
+    return g + error
 
 
 def build_design_matrix(n_points: int) -> scipy.sparse.csr_matrix:

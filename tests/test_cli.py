@@ -9,7 +9,7 @@ import pytest
 
 import driftrec as dr
 from driftrec.cli import main
-from driftrec.errors import SingularSystemError
+from driftrec.errors import NumericalError
 
 _BUNDLE_FILES = ("drift.csv", "solution.csv", "trace.json", "figure.svg")
 
@@ -58,6 +58,17 @@ class TestExitCodes:
         assert main(["invert", "ex3e", *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--no-mollify"], ["--lambda", "1e20"]],
+                             ids=["search", "no-mollify", "fixed-lambda"])
+    @pytest.mark.parametrize("level", ["1e153", "1e200", "1e308"])
+    def test_noise_level_overflowing_the_data_error(self, level, extra, tmp_path, capsys):
+        # rejected where the noise is drawn, before any file: not an Infinity in trace.json
+        # and not an overflow warning in the smoothing step or the records
+        assert main(["invert", "ex3e", "--noise", level, *extra,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert f"noise level {float(level)!r}: the squared 2-norm" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv", [
         ["forward", "ex1a", "--noise", "0.05"],
         ["forward", "ex1a", "--formats", "json"],
@@ -85,7 +96,7 @@ class TestExitCodes:
 
     def test_raised_numerical_error(self, monkeypatch, capsys):
         def singular(*args, **kwargs):
-            raise SingularSystemError("x")
+            raise NumericalError("x")
 
         monkeypatch.setattr("driftrec.cli.solve_forward", singular)
         assert main(["forward", "ex1a", "--grid-m", "20", "--grid-n", "20"]) == 3
@@ -120,12 +131,15 @@ class TestCommands:
         assert record["error_after"] < record["error_before"]
 
     def test_mollify_matches_pipeline(self, tmp_path, capsys):
-        # the preset's own seed: trace.json records the search the library runs
-        assert main(["invert", "ex3e", "--data-points", "2001", "--out", str(tmp_path)]) == 0
-        doc = json.loads((tmp_path / "trace.json").read_text())["mollification"]
-        record = dr.run_experiment(dr.make_preset("ex3e", data_points=2001)).mollification
-        for key in ("lambda", "residual", "sigma_abs", "data_points"):
-            assert doc[key] == record[key]
+        # no --seed: the preset's own seed, and trace.json records the search the library runs
+        code = main(["invert", "ex3e", "--data-points", "2001", "--out", str(tmp_path)])
+        assert code == 0
+        record = json.loads((tmp_path / "trace.json").read_text())["mollification"]
+        bundle = dr.run_experiment(dr.make_preset("ex3e", data_points=2001))
+        assert record == json.loads(json.dumps(bundle.mollification))
+        assert record["error_before"] == float(np.linalg.norm(bundle.g_noisy - bundle.g_exact))
+        assert record["error_after"] == float(np.linalg.norm(bundle.g_mollified - bundle.g_exact))
+        assert record["error_after"] < record["error_before"]
 
     def test_lambda_auto_rejected(self, capsys):
         # --lambda takes a number; leaving it off is the only way to ask for the search
@@ -140,7 +154,7 @@ class TestCommands:
         assert doc["mollification"]["mode"] == "fixed"
         assert doc["mollification"]["lambda"] == 1e24
 
-    def test_experiment_writes_bundle(self, tmp_path, capsys):
+    def test_invert_writes_the_four_files(self, tmp_path, capsys):
         code = main(["invert", "ex1b", "--data-points", "1001", "--out", str(tmp_path)])
         assert code == 0
         for name in _BUNDLE_FILES:

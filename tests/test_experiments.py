@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import driftrec as dr
-from driftrec.errors import ConfigurationError
+from driftrec.errors import ConfigurationError, DivergenceError
 from driftrec.experiments import (
     csv_lines,
     drift_hat,
@@ -240,6 +240,15 @@ class TestRunExperiment:
         assert bundle.status == "failed"
         assert bundle.error is not None
         assert bundle.metrics is None
+
+    def test_rough_data_raises_divergence_without_trace(self):
+        # the same data fails in data_terms, where the failure starts, before any update runs
+        preset = dr.make_preset("ex3e", noise_level=0.5, seed=3, mollify=False)
+        _, g_measured = dr.synthesize(preset)
+        data = dr.restrict(g_measured, dr.SpatialGrid(preset.solver_grid[0]))
+        with pytest.raises(DivergenceError, match="mollify it first") as info:
+            dr.data_terms(data, preset.spec)
+        assert info.value.trace is None
 
     def test_drift_beyond_the_bound_fails_the_run(self):
         # unmollified 2 % noise puts |q0| h >= 2 at node 1 (the solver without the bound

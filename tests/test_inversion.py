@@ -4,7 +4,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 import driftrec as dr
-from driftrec.errors import ConfigurationError, DataQualityError, DivergenceError, NumericalError
+from driftrec.errors import ConfigurationError, DivergenceError, NumericalError
 
 
 def _constant(c):
@@ -46,7 +46,7 @@ class TestInitialDrift:
         rng = np.random.default_rng(0)
         grid = dr.SpatialGrid(20)
         g = dr.GridFunction(grid, rng.standard_normal(21))
-        with pytest.raises(DataQualityError, match="mollif"):
+        with pytest.raises(DivergenceError, match="mollif"):
             dr.data_terms(g, _linear_data_spec())
 
     @pytest.mark.parametrize("values", [lambda x: np.full_like(x, 2.0), lambda x: 1.0 - x**2],
@@ -54,7 +54,7 @@ class TestInitialDrift:
     def test_no_increasing_slope_raises(self, values):
         grid = dr.SpatialGrid(20)
         g = dr.GridFunction(grid, values(grid.nodes))
-        with pytest.raises(DataQualityError, match="no increasing interior slope.*mollif"):
+        with pytest.raises(DivergenceError, match="no increasing interior slope.*mollif"):
             dr.data_terms(g, _linear_data_spec())
 
 
