@@ -22,9 +22,8 @@ from .experiments import (
     make_preset,
     run_experiment,
     run_suite,
+    true_final_state,
 )
-from .forward import solve_forward
-from .model import GridFunction, build_grids
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,30 +51,18 @@ def _overrides(args) -> dict:
     return {key: value for key, value in vars(args).items() if key in dests}
 
 
-def _preset_from_args(args):
-    """The named preset with the command line's overrides.  A --seed for a run
-    without noise is rejected rather than dropped (`suite` applies it to its
-    noisy presets only)."""
-    overrides = _overrides(args)
-    preset = make_preset(args.preset, **overrides)
-    if "seed" in overrides and preset.noise is None:
-        raise ConfigurationError(f"--seed {overrides['seed']} has no effect: this run of "
-                                 f"{preset.name!r} has no noise (give --noise > 0)")
-    return preset
-
-
 def cmd_forward(args) -> int:
-    preset = _preset_from_args(args)
-    m, n = preset.solver_grid
-    grids = build_grids(m, n, preset.spec.horizon)
-    q_true = GridFunction.sample(grids.space, preset.q_true)
-    g, _ = solve_forward(preset.spec, q_true, grids)
+    preset = make_preset(args.preset)
+    # a forward solve has no data grid: only the problem and the two grid flags are read
+    m = getattr(args, "grid_m", preset.solver_grid[0])
+    n = getattr(args, "grid_n", preset.solver_grid[1])
+    nodes, g = true_final_state(preset, m, n)
     print(f"forward {preset.name}: grid {m}x{n}, "
           f"u(.,T) in [{np.min(g):.6g}, {np.max(g):.6g}]")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "solution.csv"
-        lines = ["x,u_final"] + csv_lines([grids.space.nodes, g])
+        lines = ["x,u_final"] + csv_lines([nodes, g])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         print(f"wrote {path}")
     return EXIT_OK
@@ -92,8 +79,14 @@ def _report_bundle(bundle) -> int:
 
 
 def cmd_invert(args) -> int:
-    bundle = run_experiment(_preset_from_args(args), args.out)
-    return _report_bundle(bundle)
+    """A --seed for a run without noise is rejected rather than dropped
+    (`suite` applies it to its noisy presets only)."""
+    overrides = _overrides(args)
+    preset = make_preset(args.preset, **overrides)
+    if "seed" in overrides and preset.noise is None:
+        raise ConfigurationError(f"--seed {overrides['seed']} has no effect: this run of "
+                                 f"{preset.name!r} has no noise (give --noise > 0)")
+    return _report_bundle(run_experiment(preset, args.out))
 
 
 def cmd_suite(args) -> int:

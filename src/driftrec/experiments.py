@@ -206,6 +206,14 @@ class ResultBundle:
     provenance: dict
 
 
+def true_final_state(preset: ExperimentPreset, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The preset's problem solved with its true drift on an m x n grid: (nodes, u(., T))."""
+    grids = build_grids(m, n, preset.spec.horizon)
+    q_true = GridFunction.sample(grids.space, preset.q_true)
+    u_T, _ = solve_forward(preset.spec, q_true, grids)
+    return grids.space.nodes, u_T
+
+
 def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray]:
     """Forward-solve on the refined grid and sample onto the data grid.
 
@@ -215,12 +223,10 @@ def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray]:
     """
     m, n = preset.solver_grid
     r = preset.data_grid_refinement
-    fine = build_grids(m * r, n * r, preset.spec.horizon)
-    q_fine = GridFunction.sample(fine.space, preset.q_true)
-    g_fine, _ = solve_forward(preset.spec, q_fine, fine)
+    nodes, g_fine = true_final_state(preset, m * r, n * r)
 
     x_data = np.linspace(0.0, 1.0, preset.data_points)
-    g_exact = np.interp(x_data, fine.space.nodes, g_fine)
+    g_exact = np.interp(x_data, nodes, g_fine)
     if preset.noise is not None:
         g_measured = add_noise(g_exact, preset.noise)
     else:
@@ -408,9 +414,8 @@ def emit_outputs(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
 def run_suite(out_root: str | Path, **overrides) -> dict[str, ResultBundle]:
     """Run every preset, each into its own subdirectory of `out_root`.
 
-    `overrides` are `make_preset` keywords applied to every preset.
+    `overrides` are `make_preset` keywords applied to every preset.  All six
+    presets are built, and so checked, before the first run writes a file.
     """
-    return {
-        name: run_experiment(make_preset(name, **overrides), Path(out_root) / name)
-        for name in PRESET_NAMES
-    }
+    presets = [make_preset(name, **overrides) for name in PRESET_NAMES]
+    return {p.name: run_experiment(p, Path(out_root) / p.name) for p in presets}

@@ -10,6 +10,7 @@ import pytest
 import driftrec as dr
 from driftrec.cli import main
 from driftrec.errors import NumericalError
+from driftrec.experiments import true_final_state
 
 _BUNDLE_FILES = ("drift.csv", "solution.csv", "trace.json", "figure.svg")
 
@@ -94,11 +95,17 @@ class TestExitCodes:
         assert main(["forward", "ex1a", "--grid-m", "20", "--grid-n", "20", "--out", str(out)]) == 2
         assert "i/o error" in capsys.readouterr().err
 
+    def test_suite_rejected_seed_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["suite", "--seed", "-1", "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_raised_numerical_error(self, monkeypatch, capsys):
         def singular(*args, **kwargs):
             raise NumericalError("x")
 
-        monkeypatch.setattr("driftrec.cli.solve_forward", singular)
+        monkeypatch.setattr("driftrec.experiments.solve_forward", singular)
         assert main(["forward", "ex1a", "--grid-m", "20", "--grid-n", "20"]) == 3
         assert "numerical failure: x" in capsys.readouterr().err
 
@@ -111,6 +118,21 @@ class TestCommands:
         lines = (tmp_path / "solution.csv").read_text().strip().splitlines()
         assert lines[0] == "x,u_final"
         assert len(lines) == 22
+
+    def test_forward_reads_no_data_grid(self, tmp_path, capsys):
+        # finer than the preset's 10001 data points: a rule for runs, not for a forward solve
+        code = main(["forward", "ex1a", "--grid-m", "10001", "--grid-n", "1",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "solution.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + 10002
+
+    def test_forward_is_the_true_final_state(self, tmp_path, capsys):
+        assert main(["forward", "ex1a", "--out", str(tmp_path)]) == 0
+        table = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+        nodes, u_T = true_final_state(dr.make_preset("ex1a"), 100, 100)
+        assert np.array_equal(table[:, 0], nodes)
+        assert np.array_equal(table[:, 1], u_T)
 
     def test_invert_prints_metrics(self, capsys):
         code = main(["invert", "ex1a", "--grid-m", "40", "--grid-n", "40",

@@ -386,6 +386,12 @@ class TestSuite:
             doc = json.loads((tmp_path / name / "trace.json").read_text())
             assert doc["provenance"]["data_points"] == 1001
 
+    def test_rejected_setting_writes_nothing(self, tmp_path):
+        # the noisy presets, which run last, reject the seed: no exact preset may run first
+        with pytest.raises(ConfigurationError, match="seed"):
+            dr.run_suite(tmp_path / "out", seed=-1)
+        assert not (tmp_path / "out").exists()
+
     def test_noise_override_mollifies_by_default(self):
         p = dr.make_preset("ex1a", noise_level=0.01)
         assert p.mollify
