@@ -2,8 +2,9 @@
 equation from final-time measurements.
 
 The package bundles an implicit finite-difference forward solver, a
-monotone fixed-point inversion loop, Tikhonov mollification for noisy
-data, and an experiment harness with six reference reconstructions.
+monotone fixed-point inversion loop, Gaussian mollification for noisy
+data (Tikhonov smoothing at a fixed weight), and an experiment harness
+with six reference reconstructions.
 """
 
 __version__ = "0.1.0"
@@ -43,6 +44,7 @@ from .mollify import (
     noise_sigma,
     restrict,
     select_lambda,
+    select_width,
     solve_tikhonov,
 )
 from .experiments import (
@@ -88,6 +90,7 @@ __all__ = [
     "assemble_rhs",
     "solve_tikhonov",
     "select_lambda",
+    "select_width",
     "restrict",
     "ExperimentPreset",
     "ResultBundle",

@@ -36,7 +36,8 @@ from .mollify import (
     fit_residual,
     noise_sigma,
     restrict,
-    select_lambda,
+    select_lambda,  # noqa: F401 -- no longer called here; perfbench/spans.py wraps this name
+    select_width,
     solve_tikhonov,
 )
 from .svgplot import line_plot_svg
@@ -237,39 +238,40 @@ def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray]:
 def mollify_data(
     preset: ExperimentPreset, g_exact: np.ndarray, g_measured: np.ndarray
 ) -> tuple[np.ndarray, dict]:
-    """Denoise the noisy measurement with the preset's Tikhonov settings.
+    """Denoise the noisy measurement.
 
-    The penalty weight is the preset's fixed `lam` or else the
-    discrepancy-principle choice, whose search solution is g* itself.
-    Returns the mollified data g* and a record of the weight, the fit
-    residual, sigma, the discrepancy target and the 2-norm of the data
-    error before and after.  A preset without noise has nothing to
-    mollify and is rejected.
+    Without a fixed `lam` the preset's data is mollified with the Gaussian
+    width the discrepancy principle picks (`select_width`), whose smoothing
+    is g* itself; a fixed `lam` takes the Tikhonov solve instead.  Returns
+    the mollified data g* and a record of the mode, the width (`"kernel"`)
+    or the weight (`"fixed"`), the residual, sigma, the discrepancy target,
+    K and the 2-norm of the data error before and after.  A preset without
+    noise has nothing to mollify and is rejected.
     """
     if preset.noise is None:
         raise ConfigurationError("mollify_data needs a preset with a noise level > 0")
     spec = preset.spec
     n_pts = preset.data_points
-    h_data = 1.0 / (n_pts - 1)
     b2_T = float(sample_on(spec.right_flux, [spec.horizon])[0])
-    g_tilde = assemble_rhs(g_measured, spec.left_flux, b2_T, h_data)
     sigma_abs = noise_sigma(g_exact, preset.noise)
     lam = preset.tikhonov.lam
     if lam is None:
-        lam, g_star = select_lambda(g_tilde, sigma_abs)
+        width, g_star = select_width(g_measured, spec.left_flux, b2_T, sigma_abs)
+        record = {"mode": "kernel", "width": width,
+                  "residual": float(np.linalg.norm(g_star - g_measured))}
     else:
+        g_tilde = assemble_rhs(g_measured, spec.left_flux, b2_T, 1.0 / (n_pts - 1))
         g_star = solve_tikhonov(build_design_matrix(n_pts), build_regularization_matrix(n_pts),
                                 g_tilde, lam)
-    record = {
-        "lambda": float(lam),
-        "mode": "fixed" if preset.tikhonov.lam is not None else "discrepancy",
-        "residual": fit_residual(g_star, g_tilde),
-        "target": preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
-        "sigma_abs": sigma_abs,
-        "data_points": int(n_pts),
-        "error_before": float(np.linalg.norm(g_measured - g_exact)),
-        "error_after": float(np.linalg.norm(g_star - g_exact)),
-    }
+        record = {"mode": "fixed", "lambda": float(lam),
+                  "residual": fit_residual(g_star, g_tilde)}
+    record.update(
+        target=preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
+        sigma_abs=sigma_abs,
+        data_points=int(n_pts),
+        error_before=float(np.linalg.norm(g_measured - g_exact)),
+        error_after=float(np.linalg.norm(g_star - g_exact)),
+    )
     return g_star, record
 
 
@@ -278,9 +280,9 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
 
     A failed inversion (`DivergenceError`: divergence or hopeless data) is
     captured into the bundle rather than raised, so runs can be compared.  A
-    smoothing solve that fails, or a lambda search that reaches the target
-    at no lambda up to the ceiling, raises its `IllPosedError` instead,
-    before any file is written.  With an `out_dir` the run also writes its
+    smoothing solve that fails, or a width search that reaches the target
+    at no width up to the cap, raises its `IllPosedError` instead, before
+    any file is written.  With an `out_dir` the run also writes its
     four output files there.
     """
     spec = preset.spec

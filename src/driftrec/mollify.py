@@ -1,7 +1,25 @@
-"""Noise synthesis and penalized-least-squares mollification of the data.
+"""Noise synthesis and mollification of the data.
 
-Noisy final-time samples on a fine uniform grid of K points are smoothed by
-solving
+Noisy final-time samples g~ on a fine uniform grid of K points are smoothed
+by mollification (Murio, *The Mollification Method and the Numerical
+Solution of Ill-Posed Problems*, 1993): convolution with the Gaussian
+
+    rho_delta(t) = exp(-t^2 / delta^2) / (delta sqrt(pi))
+
+after reflecting the data across both ends.  With the Neumann data b1 and
+b2(T), psi(x) = b1 x + (b2 - b1) x^2 / 2 takes up the end slopes, so the
+remainder g~ - psi has none, and its even extension across x = 0 and x = 1
+is the reflection g(-y) = g(y) - 2 b1 y, g(1 + y) = g(1 - y) + 2 b2 y.
+One DCT-I of the remainder (an `rfft` of its even extension, length
+2(K-1), no padding) gives its cosine series; rho_delta multiplies the
+k-th term by exp(-(pi k delta / 2)^2), and applied to psi it adds
+(b2 - b1) delta^2 / 4.  So each trial width costs one inverse transform.
+`select_width(g~, b1, b2, sigma)` picks delta by the discrepancy principle:
+log-bisection on [1e-3, 0.5] to a 5 % bracket, 8 inverse transforms in
+all, and it returns its own smoothing at that width.
+
+A fixed penalty weight (`TikhonovConfig.lam`) takes the other smoother,
+penalized least squares:
 
     min_g ||A g - g~||^2 + lambda ||R g||^2
 
@@ -9,30 +27,19 @@ where A is the identity on interior samples with the two boundary rows
 replaced by first-difference Neumann constraints, R is the scaled
 second-difference penalty, and g~ carries h*b1 and h*b2(T) in its first and
 last entries.  The normal equations are pentadiagonal and symmetric
-positive definite, so the solve is O(K) however large the data grid is.
-
-Only lambda changes while the discrepancy principle searches for it, so
-`normal_bands(g~)` builds the bands of A^T A and R^T R and A^T g~ once per
-run, in closed form from K and g~ and in the Fortran order LAPACK reads;
-each lambda then costs one O(K) banded Cholesky solve (dpbsv) and the fit
-residual `fit_residual(g, g~)`, taken from A's definition.  No sparse
-matrix is formed on that path.  An 8-point scan from the ceiling down and
-a log-lambda bisection to a 5 % bracket take 2 + 9 solves on the paper
-presets, where lambda lies in the top scan interval, and at most 8 + 9;
-the residual jitters by 1-2 % near the crossing, ruling out secant steps.
-`select_lambda(g~, sigma)` returns its own solve at the chosen lambda,
-which is the mollified data, so nothing is solved twice.
-
-The sparse A and R (`build_design_matrix`, `build_regularization_matrix`),
-their products in `normal_equations` and the 4-argument `solve_tikhonov`
-remain for a fixed lambda and for the Tikhonov scaling sweep of the
-benchmark; `normal_bands` equals `normal_equations` on them bit for bit.
+positive definite, so `solve_tikhonov` is O(K) (one banded Cholesky solve,
+dpbsv).  `normal_bands(g~)` builds their bands in closed form, equal to
+the sparse products of `normal_equations` bit for bit, and
+`select_lambda(g~, sigma)` searches lambda by the discrepancy principle on
+them; the pipeline no longer calls it, and it stays, with the sparse
+builders, for the names the benchmark reads.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.sparse
@@ -43,9 +50,10 @@ from .model import GridFunction, SpatialGrid
 
 _log = logging.getLogger(__name__)
 
-# Bisection stops at hi/lo <= this: near the crossing the residual rises ~0.016*target
-# per unit of ln(lambda), so a 5 % bracket moves it ~0.1 %, below the noise norm's
-# own chi-square spread 1/sqrt(2K) = 0.7 % at K = 10001.
+# Both bisections stop at hi/lo <= this.  Near the crossing the residual rises by about
+# 0.016 x target per unit of ln(lambda) and 0.1 x target per unit of ln(width) (ex3e,
+# K = 10001), so a 5 % bracket moves it by ~0.1 % and ~0.5 %, below the noise norm's own
+# chi-square spread 1/sqrt(2K) = 0.7 % at K = 10001.
 _BRACKET_RATIO = 1.05
 
 # A search solve larger than this multiple of the data's sup norm raises IllPosedError:
@@ -53,11 +61,19 @@ _BRACKET_RATIO = 1.05
 # not the fit.  On the paper presets every search solve stays within 1.0x the data.
 _BLOWUP_RATIO = 1e6
 
-# The discrepancy search: target _SAFETY * sqrt(K) * sigma (Morozov's tau), and a
-# geometric scan of _GRID_POINTS values between _LAMBDA_MIN and the ceiling.
-_SAFETY = 1.01
+# The discrepancy target is tau * sqrt(K) * sigma (Morozov's tau > 1).  ||noise||^2 / (K sigma^2)
+# has mean 1 and standard deviation sqrt(2/K) (chi-square), so tau^2 = 1 + _TAU_Z * sqrt(2/K)
+# puts the target _TAU_Z standard deviations above the noise norm: 1.021 at K = 10001.
+_TAU_Z = 3.0
+
+# The lambda search: a geometric scan of _GRID_POINTS values between _LAMBDA_MIN and the ceiling.
 _LAMBDA_MIN = 1e-12
 _GRID_POINTS = 8
+
+# The width search brackets delta in [_WIDTH_MIN, _WIDTH_MAX] on the unit interval: log-bisection
+# from there to _BRACKET_RATIO takes 7 steps, since 500 ** (1 / 2**7) = 1.0497.
+_WIDTH_MIN = 1e-3
+_WIDTH_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,9 +95,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class TikhonovConfig:
-    """Penalty weight: a fixed `lam`, or None for the discrepancy principle.
+    """Penalty weight: a fixed `lam` for the Tikhonov smoother, or None for
+    the Gaussian width that the discrepancy principle picks.
 
-    The search ceiling scales with the data-grid size K: the penalty rows
+    The lambda ceiling scales with the data-grid size K: the penalty rows
     carry a 1/(K-1)^2 factor, so the weight that matters is lambda/(K-1)^4
     and a fixed ceiling would stop smoothing anything already at modest K.
     `ExperimentPreset` rejects a fixed `lam` above the ceiling.
@@ -101,11 +118,13 @@ class TikhonovConfig:
 
     @staticmethod
     def discrepancy_target(n_points: int, sigma_abs: float) -> float:
-        """Fit residual the discrepancy principle aims for: tau * sqrt(K) * sigma,
-        for a finite sigma >= 0 (a NaN or negative target is reached at every lambda)."""
+        """Fit residual the discrepancy principle aims for: tau * sqrt(K) * sigma with
+        tau^2 = 1 + 3 sqrt(2/K), for a finite sigma >= 0 (a NaN or negative target is
+        reached by every smoothing)."""
         if not (sigma_abs >= 0.0 and np.isfinite(sigma_abs)):
             raise ConfigurationError(f"noise sigma must be finite and >= 0, got {sigma_abs!r}")
-        return float(_SAFETY * np.sqrt(n_points) * sigma_abs)
+        tau = np.sqrt(1.0 + _TAU_Z * np.sqrt(2.0 / n_points))
+        return float(tau * np.sqrt(n_points) * sigma_abs)
 
 
 def noise_sigma(g_exact: np.ndarray, noise: NoiseSpec) -> float:
@@ -352,6 +371,83 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
         "lambda search: bracket %r, %d grid + %d bisection solves, final bracket %r, "
         "lambda %r, residual %r, target %r",
         bracket, n_grid, n_bisect, (lo, hi), hi, residuals[hi], target,
+    )
+    return hi, kept
+
+
+def _gaussian_mollifier(g_measured: np.ndarray, b1: float,
+                        b2_T: float) -> Callable[[float], np.ndarray]:
+    """rho_delta applied to the K samples `g_measured` on [0, 1], whose end
+    slopes are b1 and b2_T, reflected as the module docstring describes.
+
+    Takes the one `rfft` of the remainder g - psi and returns the function
+    width -> g_delta at the K sample points, one `irfft` per call.
+    """
+    g = np.asarray(g_measured, dtype=float)
+    n = g.size
+    if n < 3:
+        raise ConfigurationError(f"mollification needs at least 3 data points, got {n}")
+    if not (np.all(np.isfinite(g)) and np.isfinite(b1) and np.isfinite(b2_T)):
+        raise ConfigurationError("measured data and end slopes must be finite")
+    x = np.linspace(0.0, 1.0, n)
+    curvature = b2_T - b1
+    psi = x * (b1 + 0.5 * curvature * x)
+    remainder = g - psi
+    # DCT-I: the even extension across both ends, one period 2(K - 1) samples long
+    coef = np.fft.rfft(np.concatenate([remainder, remainder[-2:0:-1]]))
+    decay = (0.5 * np.pi * np.arange(n)) ** 2
+
+    def smooth(width: float) -> np.ndarray:
+        g_w = np.fft.irfft(coef * np.exp(-decay * width**2), 2 * (n - 1))[:n]
+        g_w += psi + 0.25 * curvature * width**2
+        return g_w
+
+    return smooth
+
+
+def select_width(g_measured: np.ndarray, b1: float, b2_T: float,
+                 sigma_abs: float) -> tuple[float, np.ndarray]:
+    """Discrepancy-principle search for the mollifier width.
+
+    Finds the width whose `_gaussian_mollifier` smoothing g_delta of the K
+    samples `g_measured` has a residual ||g_delta - g|| over the K samples
+    that reaches `TikhonovConfig.discrepancy_target(K, sigma_abs)`: the cap
+    0.5 first, then log-width bisection between 1e-3 and 0.5 down to
+    hi/lo <= 1.05, always 8 inverse transforms.  Returns (width, g_delta):
+    hi, the smallest width that reached, and the smoothing at it.  If even
+    the cap falls short, no width reaches the target: the search raises
+    `IllPosedError` after that one transform, naming the cap, its
+    residual, the target and K.  The search path is logged once at DEBUG:
+    the transform count and final bracket, with the width, its residual
+    and the target.
+    """
+    g = np.asarray(g_measured, dtype=float)
+    smooth = _gaussian_mollifier(g, b1, b2_T)
+    target = TikhonovConfig.discrepancy_target(g.size, sigma_abs)
+    residuals = {}
+
+    def trial(width: float) -> np.ndarray:
+        g_w = smooth(width)
+        residuals[width] = float(np.linalg.norm(g_w - g))
+        return g_w
+
+    lo, hi = _WIDTH_MIN, _WIDTH_MAX
+    kept = trial(hi)  # the smoothing at hi, the smallest width that reached
+    if residuals[hi] < target:
+        raise IllPosedError(
+            f"no width up to the cap {hi!r} reaches the discrepancy target {target!r} "
+            f"at K = {g.size}: the residual there is {residuals[hi]!r}"
+        )
+    while hi > _BRACKET_RATIO * lo:
+        mid = float(np.sqrt(lo * hi))
+        g_mid = trial(mid)
+        if residuals[mid] < target:
+            lo = mid
+        else:
+            hi, kept = mid, g_mid
+    _log.debug(
+        "width search: %d inverse transforms, final bracket %r, width %r, residual %r, target %r",
+        len(residuals), (lo, hi), hi, residuals[hi], target,
     )
     return hi, kept
 

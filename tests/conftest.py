@@ -96,14 +96,15 @@ def tikhonov_solve(design, penalty, g_tilde, lam):
 
 def tikhonov_search(design, penalty, g_tilde, sigma_abs):
     """Discrepancy search with one full reference solve and one sparse
-    residual product per lambda: target 1.01 * sqrt(K) * sigma, an 8-point
+    residual product per lambda: target tau * sqrt(K) * sigma with
+    tau^2 = 1 + 3 sqrt(2/K), an 8-point
     geometric scan from 1e-12 to 1e14 * (K-1)^4, then log-lambda bisection
     until hi/lo <= 1.05.  Raises IllPosedError when nothing up to the
     ceiling reaches the target, and when a solve fails or its solution
     exceeds 1e6 times the data's sup norm."""
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
-    target = 1.01 * np.sqrt(n) * sigma_abs
+    target = np.sqrt(1.0 + 3.0 * np.sqrt(2.0 / n)) * np.sqrt(n) * sigma_abs
 
     def reached(lam):
         g_star = tikhonov_solve(design, penalty, g_tilde, lam)
@@ -133,6 +134,57 @@ def tikhonov_search(design, penalty, g_tilde, sigma_abs):
 @pytest.fixture(scope="session")
 def tikhonov_reference():
     return tikhonov_solve, tikhonov_search
+
+
+def cosine_series_mollify(g, b1, b2, width):
+    """The Gaussian mollifier of width delta applied to the K samples g on
+    [0, 1] with end slopes b1 and b2, summed term by term from a dense K x K
+    cosine matrix: psi = b1 x + (b2 - b1) x^2 / 2 takes up the end slopes,
+    the DCT-I coefficients of the remainder g - psi are damped by
+    exp(-(pi k delta / 2)^2), and psi's own smoothing adds
+    (b2 - b1) delta^2 / 4.  Reference for the transforms in `driftrec.mollify`."""
+    g = np.asarray(g, dtype=float)
+    n = g.size
+    x = np.linspace(0.0, 1.0, n)
+    psi = b1 * x + 0.5 * (b2 - b1) * x**2
+    k = np.arange(n)
+    cosines = np.cos(np.pi * np.outer(k, k) / (n - 1))
+    weights = np.full(n, 2.0)
+    weights[0] = weights[-1] = 1.0
+    coef = cosines @ (weights * (g - psi))
+    damped = weights * coef * np.exp(-((0.5 * np.pi * k * width) ** 2))
+    return cosines @ damped / (2 * (n - 1)) + psi + 0.25 * (b2 - b1) * width**2
+
+
+def reflected_quadrature_mollify(g, b1, b2, width):
+    """The same mollifier by direct trapezoid quadrature on the sample
+    lattice: the data extended past both ends by the even reflection of
+    g - psi, i.e. g(-y) = g(y) - 2 b1 y and g(1 + y) = g(1 - y) + 2 b2 y
+    (reflected again wherever ten widths reach past the first reflection),
+    summed against rho_delta(t) = exp(-t^2 / delta^2) / (delta sqrt(pi)) with
+    weight h over ten widths each side."""
+    g = np.asarray(g, dtype=float)
+    n = g.size
+    h = 1.0 / (n - 1)
+
+    def psi(y):
+        return b1 * y + 0.5 * (b2 - b1) * y**2
+
+    remainder = g - psi(np.linspace(0.0, 1.0, n))
+    reach = int(np.ceil(10.0 * width / h))
+    j = np.arange(-reach, n + reach)
+    period = 2 * (n - 1)
+    mirrored = np.mod(j, period)
+    mirrored = np.where(mirrored > n - 1, period - mirrored, mirrored)
+    extended = remainder[mirrored] + psi(j * h)
+    t = np.arange(-reach, reach + 1) * h
+    weights = h * np.exp(-((t / width) ** 2)) / (width * np.sqrt(np.pi))
+    return np.convolve(extended, weights, mode="valid")
+
+
+@pytest.fixture(scope="session")
+def mollifier_reference():
+    return cosine_series_mollify, reflected_quadrature_mollify
 
 
 def csv_row_reference(values):

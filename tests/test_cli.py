@@ -217,10 +217,10 @@ class TestModuleEntryPoint:
         assert "--seed 11 has no effect" in run.stderr
 
     def test_search_reaching_no_lambda_exits_3(self, tmp_path):
-        # no lambda up to the ceiling reaches the target: exit 3 under warnings as errors
+        # no width up to the cap reaches the target: exit 3 under warnings as errors
         # too, since the search warns nothing, and no output directory
-        run = self._run(["invert", "ex3e", "--data-points", "2001", "--noise", "0.05",
+        run = self._run(["invert", "ex3e", "--data-points", "2001", "--noise", "0.1",
                          "--seed", "7", "--out", "out"], tmp_path)
         assert run.returncode == 3, run.stderr
-        assert "numerical failure: no lambda up to the ceiling" in run.stderr
+        assert "numerical failure: no width up to the cap" in run.stderr
         assert not any(tmp_path.iterdir())

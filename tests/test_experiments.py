@@ -1,6 +1,7 @@
 import ast
 import json
 import re
+import statistics
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -214,6 +215,18 @@ class TestMollifyData:
             assert ((tmp_path / "array_only" / name).read_bytes()
                     == (tmp_path / "own" / name).read_bytes())
 
+    def test_search_records_width_and_residual(self):
+        preset = dr.make_preset("ex3e", data_points=2001, seed=7)
+        g_exact, g_measured = dr.synthesize(preset)
+        g_star, record = dr.mollify_data(preset, g_exact, g_measured)
+        assert set(record) == {"mode", "width", "residual", "target", "sigma_abs", "data_points",
+                               "error_before", "error_after"}
+        assert record["mode"] == "kernel"
+        width, expected = dr.select_width(g_measured, 1.0, 2.0, record["sigma_abs"])
+        assert record["width"] == width and np.array_equal(g_star, expected)
+        assert record["residual"] == float(np.linalg.norm(g_star - g_measured))
+        assert record["residual"] >= record["target"]
+
     def test_discrepancy_search_without_noise_rejected(self):
         preset = dr.make_preset("ex1a", data_points=1001)
         g_exact, g_measured = dr.synthesize(preset)
@@ -227,6 +240,19 @@ class TestRunExperiment:
         assert bundle.status == "ok"
         assert bundle.metrics["rel_l2"] <= 0.05
         assert len(bundle.trace.step_norms) <= 3
+
+    def test_noisy_presets_over_40_seeds(self):
+        # ex3e and ex3f at their 1 % noise, seeds 1-40 (measured: rel_l2 median 0.498 / 0.489,
+        # quartiles 0.480-0.521 / 0.481-0.500, worst 0.541 / 0.529).  With tau = 1.01 seed 31
+        # undersmoothed to 2.86 / 3.30 and still reported ok
+        for name in ("ex3e", "ex3f"):
+            errors = {}
+            for seed in range(1, 41):
+                bundle = dr.run_experiment(dr.make_preset(name, seed=seed))
+                assert bundle.status == "ok", (name, seed, bundle.error)
+                errors[seed] = bundle.metrics["rel_l2"]
+            assert {seed: e for seed, e in errors.items() if e > 1.0} == {}, name
+            assert statistics.median(errors.values()) <= 0.55, name
 
     def test_bundle_embeds_assumption_report(self):
         bundle = dr.run_experiment(dr.make_preset("ex1a"))
@@ -295,7 +321,7 @@ class TestEmitOutputs:
         assert doc["metrics"]["rel_l2"] == bundle.metrics["rel_l2"]
         assert doc["metrics"]["rel_linf"] == bundle.metrics["rel_linf"]
         assert doc["iteration"]["step_norms"] == [float(s) for s in bundle.trace.step_norms]
-        assert doc["mollification"]["lambda"] == bundle.mollification["lambda"]
+        assert doc["mollification"]["width"] == bundle.mollification["width"]
         assert doc["provenance"] == json.loads(json.dumps(bundle.provenance))
 
     def test_trace_json_iteration_keys(self, bundle_dir):

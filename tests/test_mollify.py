@@ -70,6 +70,16 @@ def _search_counts(caplog):
 
 
 @pytest.fixture(scope="module")
+def ex3e_k2001_setup():
+    """ex3e's data at K = 2001, 1 % noise and seed 7, as the lambda search takes it."""
+    preset = dr.make_preset("ex3e", data_points=2001, seed=7)
+    g_exact, g_noisy = dr.synthesize(preset)
+    g_tilde = dr.assemble_rhs(g_noisy, preset.spec.left_flux,
+                              float(preset.spec.right_flux(1.0)), 1.0 / 2000)
+    return {"g_tilde": g_tilde, "sigma": dr.noise_sigma(g_exact, preset.noise)}
+
+
+@pytest.fixture(scope="module")
 def ex3e_noisy_setup():
     preset = dr.make_preset("ex3e", noise_level=0.01, seed=7)
     g_exact, g_noisy = dr.synthesize(preset)
@@ -335,7 +345,7 @@ class TestSelectLambda:
         s = ex3e_noisy_setup
         _, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
         residual = np.linalg.norm(s["design"] @ g_star - s["g_tilde"])
-        target = 1.01 * np.sqrt(s["g_tilde"].size) * s["sigma"]
+        target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
         assert residual >= target
         assert residual <= 1.1 * target
 
@@ -454,71 +464,67 @@ class TestSelectLambda:
             target = residuals[interval] + where * (residuals[interval + 1] - residuals[interval])
         else:
             target = (1.0 + where) * residuals[7]
-        lam = _matches_oracle(reference_search, g_tilde, target / (1.01 * np.sqrt(n)))
+        tau = np.sqrt(1.0 + 3.0 * np.sqrt(2.0 / n))
+        lam = _matches_oracle(reference_search, g_tilde, target / (tau * np.sqrt(n)))
         assert lam is None if interval == 7 else grid[interval] < lam <= grid[interval + 1]
 
     @pytest.mark.parametrize("where", ["ceiling", "below a reaching point",
                                        "first bisection point"])
     @pytest.mark.parametrize("failure", ["not positive definite", "blown up"])
-    def test_search_failure_raises(self, monkeypatch, capsys, tmp_path, failure, where):
+    def test_search_failure_raises(self, monkeypatch, ex3e_k2001_setup, failure, where):
         # ex3e at K = 2001 and seed 7: the ceiling reaches the target, the scan point
         # below it falls short, and the bisection starts between them.  A solve that
-        # fails either check there ends the run with IllPosedError naming its lambda,
-        # before any file is written, and the CLI exits with code 3
+        # fails either check there ends the search with IllPosedError naming its lambda
+        s = ex3e_k2001_setup
         below, ceiling = _scan_grid(2001)[-2:]
         lam, call = {"ceiling": (ceiling, 1), "below a reaching point": (below, 2),
                      "first bisection point": (float(np.sqrt(below) * np.sqrt(ceiling)), 3)}[where]
-        message = re.escape(f"(lambda={lam!r})")
         calls = _fail_solve(monkeypatch, failure, call)
-        with pytest.raises(IllPosedError, match=message):
-            dr.run_experiment(dr.make_preset("ex3e", data_points=2001, seed=7), tmp_path / "a")
+        with pytest.raises(IllPosedError, match=re.escape(f"(lambda={lam!r})")):
+            dr.select_lambda(s["g_tilde"], s["sigma"])
         assert len(calls) == call
-        calls.clear()
-        assert main(["invert", "ex3e", "--data-points", "2001", "--seed", "7",
-                     "--out", str(tmp_path / "b")]) == 3
-        assert re.search(message, capsys.readouterr().err)
-        assert not any(tmp_path.iterdir())
 
     def test_no_qualifying_lambda_ends_the_run(self, capsys, tmp_path):
-        # ex3e at K = 2001, 5 % noise and seed 7: even the ceiling falls short of the
+        # ex3e at K = 2001, 10 % noise and seed 7: even the width cap falls short of the
         # target.  The run ends with IllPosedError before any file is written, and the
         # CLI exits with code 3; unsmoothed data never reaches the inversion
-        message = "no lambda up to the ceiling .* reaches the discrepancy target"
-        preset = dr.make_preset("ex3e", data_points=2001, noise_level=0.05, seed=7)
+        message = "no width up to the cap .* reaches the discrepancy target"
+        preset = dr.make_preset("ex3e", data_points=2001, noise_level=0.1, seed=7)
         with pytest.raises(IllPosedError, match=message):
             dr.run_experiment(preset, tmp_path / "a")
-        assert main(["invert", "ex3e", "--data-points", "2001", "--noise", "0.05", "--seed", "7",
+        assert main(["invert", "ex3e", "--data-points", "2001", "--noise", "0.1", "--seed", "7",
                      "--out", str(tmp_path / "b")]) == 3
         assert re.search(message, capsys.readouterr().err)
         assert not any(tmp_path.iterdir())
 
-    def test_pipeline_solves_only_in_the_search(self, monkeypatch, caplog):
-        # the mollified data is the search's own solution: one set of closed-form
-        # bands, no sparse matrix, and no solve beyond the scan and the bisection
-        def sparse_path(*args):
-            raise AssertionError("a discrepancy run reached the sparse normal equations")
+    def test_pipeline_solves_only_in_the_search(self, monkeypatch):
+        # a search run mollifies with the width search: one forward transform, 8 inverse
+        # ones, and no Tikhonov solve, no normal-equation bands and no sparse matrix
+        def tikhonov_path(*args, **kwargs):
+            raise AssertionError("a search run reached the Tikhonov smoother")
 
-        for module, name in ((mollify, "normal_equations"),
+        for module, name in ((mollify, "dpbsv"), (mollify, "normal_bands"),
+                             (mollify, "normal_equations"),
                              (mollify, "build_design_matrix"),
                              (mollify, "build_regularization_matrix"),
                              (experiments, "build_design_matrix"),
-                             (experiments, "build_regularization_matrix")):
-            monkeypatch.setattr(module, name, sparse_path)
-        calls = {"normal_bands": 0, "_solve_bands": 0}
+                             (experiments, "build_regularization_matrix"),
+                             (experiments, "solve_tikhonov")):
+            monkeypatch.setattr(module, name, tikhonov_path)
+        calls = {"rfft": 0, "irfft": 0}
         for name in calls:
-            original = getattr(mollify, name)
+            original = getattr(np.fft, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(mollify, name, counted)
+            monkeypatch.setattr(np.fft, name, counted)
         preset = dr.make_preset("ex3e")
         g_exact, g_measured = dr.synthesize(preset)
-        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
-            _, record = dr.mollify_data(preset, g_exact, g_measured)
-        assert record["mode"] == "discrepancy"
-        assert calls == {"normal_bands": 1, "_solve_bands": sum(_search_counts(caplog))}
+        _, record = dr.mollify_data(preset, g_exact, g_measured)
+        assert record["mode"] == "kernel"
+        assert calls == {"rfft": 1, "irfft": 8}
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -546,6 +552,125 @@ class TestSelectLambda:
         for lam in _scan_grid(n) + [10.0**e for e in drawn]:
             g = mollify._solve_bands(*bands, lam)
             assert np.max(np.abs(g)) <= 1e6 * np.max(np.abs(g_tilde))
+
+
+class TestSelectWidth:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_transforms_match_dense_cosine_series(self, mollifier_reference, data):
+        # one rfft and one irfft per width against the same cosine series summed densely
+        cosine_series, _ = mollifier_reference
+        n = data.draw(st.integers(3, 300), label="K")
+        width = data.draw(st.floats(1e-3, 0.5), label="width")
+        b1, b2 = data.draw(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), label="b")
+        g = data.draw(hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3)), label="g")
+        got = mollify._gaussian_mollifier(g, b1, b2)(width)
+        want = cosine_series(g, b1, b2, width)
+        scale = np.max(np.abs(g)) + abs(b1) + abs(b2)
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(scale, 1e-300)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(11, 300), where=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_matches_quadrature_of_the_reflected_data(self, mollifier_reference, n, where, seed):
+        # at widths of 5 samples and more, the transform's aliasing is below exp(-61)
+        _, quadrature = mollifier_reference
+        h = 1.0 / (n - 1)
+        width = 5.0 * h * (0.5 / (5.0 * h)) ** where
+        x = np.linspace(0.0, 1.0, n)
+        rng = np.random.default_rng(seed)
+        g = np.sin(3.0 * x) + 2.0 + 0.1 * rng.standard_normal(n)
+        b1, b2 = rng.uniform(-3.0, 3.0, 2)
+        got = mollify._gaussian_mollifier(g, b1, b2)(width)
+        assert np.max(np.abs(got - quadrature(g, b1, b2, width))) <= 1e-8
+
+    @pytest.mark.parametrize("width", [1e-3, 0.05, 0.5])
+    def test_quadratic_comes_back_shifted(self, width):
+        # psi itself has no remainder: rho_delta * psi = psi + (b2 - b1) delta^2 / 4
+        x = np.linspace(0.0, 1.0, 1001)
+        b1, b2 = 1.0, 2.0
+        psi = b1 * x + 0.5 * (b2 - b1) * x**2
+        got = mollify._gaussian_mollifier(psi, b1, b2)(width)
+        assert np.max(np.abs(got - (psi + (b2 - b1) * width**2 / 4.0))) <= 1e-13
+
+    def test_residual_nondecreasing_in_width(self, ex3e_noisy_setup):
+        s = ex3e_noisy_setup
+        smooth = mollify._gaussian_mollifier(s["g_noisy"], 1.0, 2.0)
+        residuals = [np.linalg.norm(smooth(w) - s["g_noisy"]) for w in np.geomspace(1e-3, 0.5, 40)]
+        assert all(r2 >= r1 for r1, r2 in zip(residuals, residuals[1:]))
+
+    def test_returns_its_smoothing_at_the_crossing(self, ex3e_noisy_setup):
+        # the width reaches the target and the bracket's lower end, 5 % below it, does not
+        s = ex3e_noisy_setup
+        width, g_star = dr.select_width(s["g_noisy"], 1.0, 2.0, s["sigma"])
+        smooth = mollify._gaussian_mollifier(s["g_noisy"], 1.0, 2.0)
+        assert np.array_equal(g_star, smooth(width))
+        target = dr.TikhonovConfig.discrepancy_target(s["g_noisy"].size, s["sigma"])
+        assert np.linalg.norm(g_star - s["g_noisy"]) >= target
+        assert np.linalg.norm(smooth(width / 1.05) - s["g_noisy"]) < target
+        assert (np.linalg.norm(g_star - s["g_exact"])
+                < np.linalg.norm(s["g_noisy"] - s["g_exact"]))
+
+    def test_logs_search_once(self, ex3e_noisy_setup, caplog):
+        s = ex3e_noisy_setup
+        with caplog.at_level(logging.DEBUG, logger="driftrec.mollify"):
+            width, g_star = dr.select_width(s["g_noisy"], 1.0, 2.0, s["sigma"])
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        residual = float(np.linalg.norm(g_star - s["g_noisy"]))
+        target = dr.TikhonovConfig.discrepancy_target(s["g_noisy"].size, s["sigma"])
+        assert message.startswith("width search: 8 inverse transforms, final bracket (")
+        lo, hi = map(float, re.search(r"final bracket \(([^,]+), ([^)]+)\)", message).groups())
+        assert hi == width and 1e-3 <= lo < hi <= 1.05 * lo
+        assert message.endswith(f"width {width!r}, residual {residual!r}, target {target!r}")
+
+    def test_zero_noise_returns_the_narrowest_width(self):
+        # every width reaches a target of 0: the bisection ends at the bracket's low end
+        g = np.sin(np.linspace(0.0, 1.0, 51))
+        width, _ = dr.select_width(g, 1.0, float(np.cos(1.0)), 0.0)
+        assert 1e-3 < width <= 1.05e-3
+
+    def test_no_qualifying_width_raises(self, monkeypatch):
+        # noise far larger than the data: even the cap falls short, after one inverse transform
+        n = 21
+        g = np.linspace(0.0, 1e-3, n)
+        cap = mollify._gaussian_mollifier(g, 1e-3, 1e-3)(0.5)
+        residual = float(np.linalg.norm(cap - g))
+        target = dr.TikhonovConfig.discrepancy_target(n, 10.0)
+        calls = []
+        original = np.fft.irfft
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        with pytest.raises(IllPosedError) as info:
+            dr.select_width(g, 1e-3, 1e-3, 10.0)
+        assert len(calls) == 1
+        assert str(info.value) == (
+            f"no width up to the cap 0.5 reaches the discrepancy target {target!r} "
+            f"at K = {n}: the residual there is {residual!r}"
+        )
+
+    @pytest.mark.parametrize("sigma", [np.nan, -1.0, np.inf])
+    def test_invalid_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma must be finite and >= 0"):
+            dr.select_width(np.linspace(1.0, 2.0, 51), 1.0, 1.0, sigma)
+
+    @pytest.mark.parametrize("bad", ["data", "slope"])
+    def test_non_finite_input_rejected(self, bad):
+        g = np.linspace(1.0, 2.0, 51)
+        b1 = 1.0
+        if bad == "data":
+            g[7] = np.nan
+        else:
+            b1 = np.inf
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            dr.select_width(g, b1, 1.0, 0.01)
+
+    def test_too_small(self):
+        with pytest.raises(ConfigurationError, match="3"):
+            dr.select_width(np.ones(2), 0.0, 0.0, 0.01)
 
 
 class TestRestrict:

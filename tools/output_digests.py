@@ -8,7 +8,7 @@ OUT must be absent or empty.  The set is:
 - ex1a on a 400x400 solver grid;
 - ex3e and ex3f at noise seeds 7, 11, 13 and 31;
 - ex3e on 2001 data points, once with a fixed lambda of 1e24 and once with
-  the discrepancy search;
+  the width search;
 - ex3e without mollification, a failed run (exit code 3) whose files hold
   the error, the partial trace and the admissibility report;
 - `driftrec forward ex1a --out`.
