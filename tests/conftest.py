@@ -182,9 +182,38 @@ def reflected_quadrature_mollify(g, b1, b2, width):
     return np.convolve(extended, weights, mode="valid")
 
 
+def transform_width_search(g, b1, b2, sigma_abs):
+    """The width search with one inverse transform per trial: the cap 0.5,
+    then log-width bisection from [1e-3, 0.5] to hi/lo <= 1.05, each
+    residual ||g_delta - g|| taken from the smoothing itself.  Returns
+    (width, g_delta), the smoothing kept from the trial at hi, or raises
+    IllPosedError when the cap falls short.  Reference for the spectral
+    residuals of `driftrec.select_width`."""
+    g = np.asarray(g, dtype=float)
+    smooth = dr.mollify._gaussian_mollifier(g, b1, b2)
+    target = dr.TikhonovConfig.discrepancy_target(g.size, sigma_abs)
+    lo, hi = 1e-3, 0.5
+    kept = smooth(hi)
+    if np.linalg.norm(kept - g) < target:
+        raise IllPosedError("no width up to the cap reaches the discrepancy target")
+    while hi > 1.05 * lo:
+        mid = float(np.sqrt(lo * hi))
+        g_mid = smooth(mid)
+        if np.linalg.norm(g_mid - g) < target:
+            lo = mid
+        else:
+            hi, kept = mid, g_mid
+    return hi, kept
+
+
 @pytest.fixture(scope="session")
 def mollifier_reference():
     return cosine_series_mollify, reflected_quadrature_mollify
+
+
+@pytest.fixture(scope="session")
+def width_search_reference():
+    return transform_width_search
 
 
 def csv_row_reference(values):

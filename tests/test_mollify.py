@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.lapack import dpbsv
@@ -62,6 +62,12 @@ def _matches_oracle(reference_search, g_tilde, sigma):
     assert lam == expected_lam
     assert np.array_equal(g_star, dr.solve_tikhonov(design, penalty, g_tilde, lam))
     return lam
+
+
+def _psi(n, b1, b2):
+    """psi(x) = b1 x + (b2 - b1) x^2 / 2 at K = n samples, as the mollifier forms it."""
+    x = np.linspace(0.0, 1.0, n)
+    return x * (b1 + 0.5 * (b2 - b1) * x)
 
 
 def _search_counts(caplog):
@@ -498,8 +504,8 @@ class TestSelectLambda:
         assert not any(tmp_path.iterdir())
 
     def test_pipeline_solves_only_in_the_search(self, monkeypatch):
-        # a search run mollifies with the width search: one forward transform, 8 inverse
-        # ones, and no Tikhonov solve, no normal-equation bands and no sparse matrix
+        # a search run mollifies with the width search: one forward and one inverse transform,
+        # and no Tikhonov solve, no normal-equation bands and no sparse matrix
         def tikhonov_path(*args, **kwargs):
             raise AssertionError("a search run reached the Tikhonov smoother")
 
@@ -524,7 +530,7 @@ class TestSelectLambda:
         g_exact, g_measured = dr.synthesize(preset)
         _, record = dr.mollify_data(preset, g_exact, g_measured)
         assert record["mode"] == "kernel"
-        assert calls == {"rfft": 1, "irfft": 8}
+        assert calls == {"rfft": 1, "irfft": 1}
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -592,6 +598,40 @@ class TestSelectWidth:
         got = mollify._gaussian_mollifier(psi, b1, b2)(width)
         assert np.max(np.abs(got - (psi + (b2 - b1) * width**2 / 4.0))) <= 1e-13
 
+    @settings(max_examples=200, deadline=None)
+    @given(g=hnp.arrays(np.float64, st.integers(3, 300), elements=st.floats(-1e3, 1e3)),
+           width=st.floats(1e-3, 0.5), b1=st.floats(-10.0, 10.0), b2=st.floats(-10.0, 10.0))
+    @example(g=np.full(3, 7.5), width=0.5, b1=0.0, b2=0.0)
+    @example(g=np.full(300, -250.0), width=1e-3, b1=0.0, b2=0.0)
+    @example(g=_psi(201, -2.0, 7.5), width=0.2, b1=-2.0, b2=7.5)
+    @example(g=_psi(4, 3.0, -10.0), width=0.5, b1=3.0, b2=-10.0)
+    def test_parseval_residual_matches_the_smoothing(self, g, width, b1, b2):
+        # the residual read from the spectrum is the norm of the smoothing's own difference
+        n = g.size
+        mollifier = mollify._gaussian_mollifier(g, b1, b2)
+        residual = mollifier.residual(width)
+        direct = float(np.linalg.norm(mollifier(width) - g))
+        floor = 1e-13 * np.sqrt(n) * (np.max(np.abs(g)) + abs(b1) + abs(b2))
+        assert abs(residual - direct) <= 1e-12 * direct + floor
+        if np.ptp(g - _psi(n, b1, b2)) == 0.0:
+            # constant data and psi-only data: the difference is psi's shift at every sample
+            shift = np.sqrt(n) * abs(b2 - b1) * width**2 / 4.0
+            assert abs(residual - shift) <= 1e-12 * shift + floor
+
+    def test_matches_the_per_trial_transform_search(self, width_search_reference):
+        # the draws of the 40-seed preset test: the same width and the same smoothing,
+        # bit for bit, as the search that inverse-transforms every trial
+        for name in ("ex3e", "ex3f"):
+            for seed in range(1, 41):
+                preset = dr.make_preset(name, seed=seed)
+                g_exact, g_measured = dr.synthesize(preset)
+                args = (g_measured, preset.spec.left_flux, float(preset.spec.right_flux(1.0)),
+                        dr.noise_sigma(g_exact, preset.noise))
+                width, g_star = dr.select_width(*args)
+                expected_width, expected = width_search_reference(*args)
+                assert width == expected_width, (name, seed)
+                assert np.array_equal(g_star, expected), (name, seed)
+
     def test_residual_nondecreasing_in_width(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
         smooth = mollify._gaussian_mollifier(s["g_noisy"], 1.0, 2.0)
@@ -616,12 +656,17 @@ class TestSelectWidth:
             width, g_star = dr.select_width(s["g_noisy"], 1.0, 2.0, s["sigma"])
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
-        residual = float(np.linalg.norm(g_star - s["g_noisy"]))
         target = dr.TikhonovConfig.discrepancy_target(s["g_noisy"].size, s["sigma"])
-        assert message.startswith("width search: 8 inverse transforms, final bracket (")
+        assert message.startswith(f"width search: target {target!r}, (width, residual) [(0.5, ")
+        path = message.split("(width, residual) ")[1].split(", final bracket")[0]
+        trials = re.findall(r"\(([^,()]+), ([^,()]+)\)", path)
+        assert len(trials) == 8
+        residuals = {float(w): float(r) for w, r in trials}
         lo, hi = map(float, re.search(r"final bracket \(([^,]+), ([^)]+)\)", message).groups())
         assert hi == width and 1e-3 <= lo < hi <= 1.05 * lo
-        assert message.endswith(f"width {width!r}, residual {residual!r}, target {target!r}")
+        # the kept width reached the target, and the bracket's lower end, a trial too, fell short
+        assert residuals[hi] >= target > residuals[lo]
+        assert message.endswith(f"width {width!r}, 1 inverse transform")
 
     def test_zero_noise_returns_the_narrowest_width(self):
         # every width reaches a target of 0: the bisection ends at the bracket's low end
