@@ -3,8 +3,8 @@ equation from final-time measurements.
 
 The package bundles an implicit finite-difference forward solver, a
 monotone fixed-point inversion loop, Gaussian mollification for noisy
-data (Tikhonov smoothing at a fixed weight), and an experiment harness
-with six reference reconstructions.
+data with a discrepancy-principle width, and an experiment harness with
+six reference reconstructions.
 """
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ from .inversion import (
 )
 from .mollify import (
     NoiseSpec,
-    TikhonovConfig,
     add_noise,
     assemble_rhs,
     build_design_matrix,
@@ -82,7 +81,6 @@ __all__ = [
     "run_iteration",
     "error_metrics",
     "NoiseSpec",
-    "TikhonovConfig",
     "noise_sigma",
     "add_noise",
     "build_design_matrix",

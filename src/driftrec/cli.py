@@ -37,8 +37,6 @@ _PRESET_FLAGS = {
     "--refine": dict(dest="refinement", type=int, help="data-generation refinement factor"),
     "--data-points": dict(dest="data_points", type=int, help="data grid size"),
     "--noise": dict(dest="noise_level", type=float, help="relative noise level, e.g. 0.01"),
-    "--lambda": dict(dest="lam", type=float,
-                     help="fixed Tikhonov weight; left off, the run searches a Gaussian width"),
     "--no-mollify": dict(dest="mollify", action="store_false", help="skip data mollification"),
     "--seed": dict(dest="seed", type=int, help="noise RNG seed"),
     "--max-iter": dict(dest="max_iter", type=int, help="fixed-point iteration budget"),

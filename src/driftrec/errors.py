@@ -18,9 +18,10 @@ class NumericalError(RuntimeError):
 
 
 class IllPosedError(NumericalError):
-    """A regularized least-squares system could not be factorized, a search
-    solve exceeded 1e6 x ||g~||_inf, or no lambda up to the ceiling reaches
-    the discrepancy target."""
+    """No mollifier width up to the cap reaches the discrepancy target (the
+    one the pipeline raises); or, in the library's Tikhonov solves, the
+    normal equations could not be factorized, a search solve exceeded
+    1e6 x ||g~||_inf, or no lambda up to the ceiling reaches the target."""
 
 
 class DivergenceError(NumericalError):

@@ -28,17 +28,13 @@ from .inversion import IterationConfig, IterationTrace, error_metrics, run_itera
 from .model import GridFunction, ProblemSpec, build_grids, sample_on, validate_assumptions
 from .mollify import (
     NoiseSpec,
-    TikhonovConfig,
     add_noise,
-    assemble_rhs,
-    build_design_matrix,
-    build_regularization_matrix,
-    fit_residual,
+    discrepancy_target,
     noise_sigma,
     restrict,
-    select_lambda,  # noqa: F401 -- no longer called here; perfbench/spans.py wraps this name
+    select_lambda,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
     select_width,
-    solve_tikhonov,
+    solve_tikhonov,  # noqa: F401 -- not called here; perfbench/spans.py wraps this name
 )
 from .svgplot import line_plot_svg
 
@@ -98,7 +94,6 @@ class ExperimentPreset:
     noise: NoiseSpec | None
     mollify: bool
     iteration: IterationConfig
-    tikhonov: TikhonovConfig
 
     def __post_init__(self):
         if not self.name or not self.name.isprintable():
@@ -120,15 +115,6 @@ class ExperimentPreset:
         if self.mollify and self.noise is None:
             # nothing to denoise: a run would skip the step yet record mollify=true
             raise ConfigurationError("mollify needs a noise level > 0")
-        lam, ceiling = self.tikhonov.lam, self.tikhonov.resolved_lambda_max(k)
-        if lam is not None and not self.mollify:
-            # only the mollifier reads lambda: a run would silently ignore it
-            raise ConfigurationError(f"fixed lambda {lam:g} needs a run that mollifies its data")
-        if lam is not None and lam > ceiling:
-            # above it the normal equations are no longer numerically definite
-            raise ConfigurationError(
-                f"fixed lambda {lam:g} exceeds the ceiling {ceiling:g} at data_points={k}"
-            )
 
 
 _EXACT = dict(solver_grid=(100, 100), noise_level=0.0, max_iter=3)
@@ -156,7 +142,6 @@ def make_preset(
     mollify: bool | None = None,
     max_iter: int | None = None,
     tol_step: float | None = None,
-    lam: float | None = None,
 ) -> ExperimentPreset:
     """Build a named preset, optionally overriding individual fields.
 
@@ -180,7 +165,6 @@ def make_preset(
         mollify=level > 0.0 if mollify is None else mollify,
         iteration=IterationConfig(max_iter=base["max_iter"] if max_iter is None else max_iter,
                                   tol_step=1e-4 if tol_step is None else tol_step),
-        tikhonov=TikhonovConfig(lam=lam),
     )
 
 
@@ -240,38 +224,29 @@ def mollify_data(
 ) -> tuple[np.ndarray, dict]:
     """Denoise the noisy measurement.
 
-    Without a fixed `lam` the preset's data is mollified with the Gaussian
-    width the discrepancy principle picks (`select_width`), whose smoothing
-    is g* itself; a fixed `lam` takes the Tikhonov solve instead.  Returns
-    the mollified data g* and a record of the mode, the width (`"kernel"`)
-    or the weight (`"fixed"`), the residual, sigma, the discrepancy target,
-    K and the 2-norm of the data error before and after.  A preset without
-    noise has nothing to mollify and is rejected.
+    The preset's data is mollified with the Gaussian width the discrepancy
+    principle picks (`select_width`), whose smoothing is g* itself.  Returns
+    g* and a record of the mode (`"kernel"`), the width, the residual,
+    sigma, the discrepancy target, K and the 2-norm of the data error
+    before and after.  A preset without noise has nothing to mollify and
+    is rejected.
     """
     if preset.noise is None:
         raise ConfigurationError("mollify_data needs a preset with a noise level > 0")
     spec = preset.spec
-    n_pts = preset.data_points
     b2_T = float(sample_on(spec.right_flux, [spec.horizon])[0])
     sigma_abs = noise_sigma(g_exact, preset.noise)
-    lam = preset.tikhonov.lam
-    if lam is None:
-        width, g_star = select_width(g_measured, spec.left_flux, b2_T, sigma_abs)
-        record = {"mode": "kernel", "width": width,
-                  "residual": float(np.linalg.norm(g_star - g_measured))}
-    else:
-        g_tilde = assemble_rhs(g_measured, spec.left_flux, b2_T, 1.0 / (n_pts - 1))
-        g_star = solve_tikhonov(build_design_matrix(n_pts), build_regularization_matrix(n_pts),
-                                g_tilde, lam)
-        record = {"mode": "fixed", "lambda": float(lam),
-                  "residual": fit_residual(g_star, g_tilde)}
-    record.update(
-        target=preset.tikhonov.discrepancy_target(n_pts, sigma_abs),
-        sigma_abs=sigma_abs,
-        data_points=int(n_pts),
-        error_before=float(np.linalg.norm(g_measured - g_exact)),
-        error_after=float(np.linalg.norm(g_star - g_exact)),
-    )
+    width, g_star = select_width(g_measured, spec.left_flux, b2_T, sigma_abs)
+    record = {
+        "mode": "kernel",
+        "width": width,
+        "residual": float(np.linalg.norm(g_star - g_measured)),
+        "target": discrepancy_target(preset.data_points, sigma_abs),
+        "sigma_abs": sigma_abs,
+        "data_points": int(preset.data_points),
+        "error_before": float(np.linalg.norm(g_measured - g_exact)),
+        "error_after": float(np.linalg.norm(g_star - g_exact)),
+    }
     return g_star, record
 
 
@@ -280,10 +255,9 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
 
     A failed inversion (`DivergenceError`: divergence or hopeless data) is
     captured into the bundle rather than raised, so runs can be compared.  A
-    smoothing solve that fails, or a width search that reaches the target
-    at no width up to the cap, raises its `IllPosedError` instead, before
-    any file is written.  With an `out_dir` the run also writes its
-    four output files there.
+    width search that reaches the target at no width up to the cap raises
+    its `IllPosedError` instead, before any file is written.  With an
+    `out_dir` the run also writes its four output files there.
     """
     spec = preset.spec
     m, n = preset.solver_grid

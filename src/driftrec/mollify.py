@@ -20,21 +20,16 @@ discrepancy principle: log-bisection on [1e-3, 0.5] to a 5 % bracket,
 8 trial widths, and one inverse transform in all, the smoothing at the
 width it returns (1 rfft + 1 irfft, about 1.3 ms at K = 10001).
 
-A fixed penalty weight (`TikhonovConfig.lam`) takes the other smoother,
-penalized least squares:
+Penalized least squares, the Tikhonov smoother
 
     min_g ||A g - g~||^2 + lambda ||R g||^2
 
-where A is the identity on interior samples with the two boundary rows
-replaced by first-difference Neumann constraints, R is the scaled
-second-difference penalty, and g~ carries h*b1 and h*b2(T) in its first and
-last entries.  The normal equations are pentadiagonal and symmetric
-positive definite, so `solve_tikhonov` is O(K) (one banded Cholesky solve,
-dpbsv).  `normal_bands(g~)` builds their bands in closed form, equal to
-the sparse products of `normal_equations` bit for bit, and
-`select_lambda(g~, sigma)` searches lambda by the discrepancy principle on
-them; the pipeline no longer calls it, and it stays, with the sparse
-builders, for the names the benchmark reads.
+(A the identity on interior samples with first-difference Neumann rows
+at both ends, R the scaled second-difference penalty, g~ carrying h*b1
+and h*b2(T) in its end entries), is off the pipeline: `solve_tikhonov`
+(one banded Cholesky solve of the pentadiagonal normal equations, dpbsv),
+`select_lambda` and the sparse builders stay only for the names perfbench
+reads.
 """
 
 from __future__ import annotations
@@ -94,38 +89,21 @@ class NoiseSpec:
             raise ConfigurationError(f"noise seed must be an integer >= 0, got {self.seed!r}")
 
 
-@dataclass(frozen=True)
-class TikhonovConfig:
-    """Penalty weight: a fixed `lam` for the Tikhonov smoother, or None for
-    the Gaussian width that the discrepancy principle picks.
+def discrepancy_target(n_points: int, sigma_abs: float) -> float:
+    """Fit residual the discrepancy principle aims for: tau * sqrt(K) * sigma with
+    tau^2 = 1 + 3 sqrt(2/K), for a finite sigma >= 0 (a NaN or negative target is
+    reached by every smoothing)."""
+    if not (sigma_abs >= 0.0 and np.isfinite(sigma_abs)):
+        raise ConfigurationError(f"noise sigma must be finite and >= 0, got {sigma_abs!r}")
+    tau = np.sqrt(1.0 + _TAU_Z * np.sqrt(2.0 / n_points))
+    return float(tau * np.sqrt(n_points) * sigma_abs)
 
-    The lambda ceiling scales with the data-grid size K: the penalty rows
-    carry a 1/(K-1)^2 factor, so the weight that matters is lambda/(K-1)^4
-    and a fixed ceiling would stop smoothing anything already at modest K.
-    `ExperimentPreset` rejects a fixed `lam` above the ceiling.
-    """
 
-    lam: float | None
-
-    def __post_init__(self):
-        if self.lam is not None and not (self.lam > 0.0 and np.isfinite(self.lam)):
-            raise ConfigurationError(f"fixed lambda must be finite and > 0, got {self.lam!r}")
-
-    @staticmethod
-    def resolved_lambda_max(n_points: int) -> float:
-        # effective weight on raw second differences is lambda/(K-1)^4;
-        # beyond ~1e14 the normal equations stop being numerically definite
-        return 1e14 * float(n_points - 1) ** 4
-
-    @staticmethod
-    def discrepancy_target(n_points: int, sigma_abs: float) -> float:
-        """Fit residual the discrepancy principle aims for: tau * sqrt(K) * sigma with
-        tau^2 = 1 + 3 sqrt(2/K), for a finite sigma >= 0 (a NaN or negative target is
-        reached by every smoothing)."""
-        if not (sigma_abs >= 0.0 and np.isfinite(sigma_abs)):
-            raise ConfigurationError(f"noise sigma must be finite and >= 0, got {sigma_abs!r}")
-        tau = np.sqrt(1.0 + _TAU_Z * np.sqrt(2.0 / n_points))
-        return float(tau * np.sqrt(n_points) * sigma_abs)
+def _lambda_max(n_points: int) -> float:
+    """The lambda search's ceiling, 1e14 (K-1)^4: the penalty rows carry a 1/(K-1)^2
+    factor, so the weight on raw second differences is lambda/(K-1)^4, and beyond
+    ~1e14 the normal equations stop being numerically definite."""
+    return 1e14 * float(n_points - 1) ** 4
 
 
 def noise_sigma(g_exact: np.ndarray, noise: NoiseSpec) -> float:
@@ -195,8 +173,10 @@ def normal_equations(
     """The lambda-free parts of (A^T A + lambda R^T R) g = A^T g~, formed
     by sparse products of any design and penalty matrices.
 
-    Returns (fit, pen, rhs) in the layout of `normal_bands`, which builds
-    the same arrays for the matrices of this module without the products.
+    Returns (fit, pen, rhs): the bands of A^T A and of R^T R in the upper
+    storage the banded Cholesky solver reads (row 2 the main diagonal, row 1
+    the first superdiagonal shifted right by one, row 0 the second shifted
+    by two), and rhs = A^T g~.
     """
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = design.shape[0]
@@ -218,52 +198,6 @@ def _upper_bands(normal: scipy.sparse.spmatrix) -> np.ndarray:
     bands[1, 1:] = normal.diagonal(1)
     bands[0, 2:] = normal.diagonal(2)
     return bands
-
-
-def normal_bands(g_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The lambda-free parts of (A^T A + lambda R^T R) g = A^T g~, in closed
-    form from K and g~.
-
-    Returns (fit, pen, rhs): the bands of A^T A and of R^T R in upper
-    storage, the layout the banded Cholesky solver expects (row 2 the main
-    diagonal, row 1 the first superdiagonal shifted right by one, row 0 the
-    second shifted by two), and rhs = A^T g~.  The bands are
-    Fortran-ordered, so `fit + lam * pen` reaches LAPACK without a copy.
-    Each entry is summed in the order of the sparse products, rows of A and
-    R ascending, so the arrays equal `normal_equations` on
-    `build_design_matrix(K)` and `build_regularization_matrix(K)` bit for
-    bit: with s = 1/(K-1)^2, p = s*s and q = (-2s)*(-2s), the main diagonal
-    of R^T R is (p + q) + p inside and q + p, p towards the ends.
-    """
-    g = np.asarray(g_tilde, dtype=float)
-    n = g.size
-    if n < 3:
-        raise ConfigurationError(f"normal equations need at least 3 data points, got {n}")
-    if not np.all(np.isfinite(g)):
-        raise ConfigurationError("fit target g_tilde must be finite")
-    # A: identity rows inside, first-difference rows (-1, 1) first and last
-    fit = np.zeros((3, n), order="F")
-    fit[2] = 1.0
-    fit[2, 1] += 1.0
-    fit[2, -2] += 1.0
-    fit[1, 1] = fit[1, -1] = -1.0
-    # R: rows (s, -2s, s); penalty row i adds (p, q, p) to the diagonal at i, i+1, i+2
-    s = 1.0 / (n - 1) ** 2
-    p = s * s
-    q = (-2.0 * s) * (-2.0 * s)
-    pen = np.zeros((3, n), order="F")
-    pen[2, 2:] += p
-    pen[2, 1:-1] += q
-    pen[2, :-2] += p
-    pen[1, 2:] += s * (-2.0 * s)
-    pen[1, 1:-1] += s * (-2.0 * s)
-    pen[0, 2:] = p
-    # A^T g~, accumulated from 0 row by row as the sparse product does (0 + -0.0 is 0.0)
-    rhs = g + 0.0
-    rhs[0] = 0.0 - g[0]
-    rhs[1] = (0.0 + g[0]) + g[1]
-    rhs[-2] -= g[-1]
-    return fit, pen, rhs
 
 
 def fit_residual(g: np.ndarray, g_tilde: np.ndarray) -> float:
@@ -305,31 +239,31 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
     """Discrepancy-principle search for the penalty weight.
 
     Finds a lambda whose fit residual ||A g - g~|| reaches
-    `TikhonovConfig.discrepancy_target(K, sigma_abs)`.  The 8 geometric
-    values from 1e-12 to `TikhonovConfig.resolved_lambda_max(K)` are
-    scanned from the ceiling down: a point that reaches the target becomes
-    hi, and the first point below it that falls short becomes lo and ends
-    the scan.  The residual is nondecreasing in lambda and the points are
-    far apart (10^6 at K = 10001), so this is the bracket an ascending scan
-    finds.  Log-lambda bisection then shrinks it to hi/lo <= 1.05: 2 + 9
-    solves on the paper presets, whose lambda lies in the top interval, and
-    at most 8 + 9.  Not Newton or regula falsi: near the crossing
+    `discrepancy_target(K, sigma_abs)`, on the normal equations of
+    `build_design_matrix(K)` and `build_regularization_matrix(K)`.  The 8
+    geometric values from 1e-12 to the ceiling 1e14 (K-1)^4 are scanned
+    from the ceiling down: a point that reaches the target becomes hi, and
+    the first point below it that falls short becomes lo and ends the scan.
+    The residual is nondecreasing in lambda and the points are far apart
+    (10^6 at K = 10001), so this is the bracket an ascending scan finds.
+    Log-lambda bisection then shrinks it to hi/lo <= 1.05: 2 + 9 solves on
+    ex3e's data, whose lambda lies in the top interval, and at most 8 + 9.
+    Not Newton or regula falsi: near the crossing
     cond(A^T A + lambda R^T R) ~ 1e14 makes the residual jitter by 1-2 %
     and lose monotonicity.  Returns (lambda, g): g is the search's own
-    solve at that lambda, so the mollified data costs no solve beyond the
-    search.  If even the ceiling falls short, no lambda reaches the target:
-    the search raises `IllPosedError` after that one solve, naming the
-    ceiling, its residual, the target and K.  Every solve must have
-    positive definite normal equations and a solution within 1e6 times
-    ||g~||_inf; a solve that fails either raises `IllPosedError` naming its
-    lambda.  The search path is logged once at DEBUG: the scan bracket, the
-    solve counts and the final bracket, with the returned lambda's residual
-    and the target.
+    solve at that lambda.  If even the ceiling falls short, no lambda
+    reaches the target: the search raises `IllPosedError` after that one
+    solve, naming the ceiling, its residual, the target and K.  Every solve
+    must have positive definite normal equations and a solution within 1e6
+    times ||g~||_inf; a solve that fails either raises `IllPosedError`
+    naming its lambda.  The search path is logged once at DEBUG: the scan
+    bracket, the solve counts and the final bracket, with the returned
+    lambda's residual and the target.
     """
-    fit, pen, rhs = normal_bands(g_tilde)
     g_tilde = np.asarray(g_tilde, dtype=float)
     n = g_tilde.size
-    target = TikhonovConfig.discrepancy_target(n, sigma_abs)
+    fit, pen, rhs = normal_equations(build_design_matrix(n), build_regularization_matrix(n), g_tilde)
+    target = discrepancy_target(n, sigma_abs)
     g_bound = _BLOWUP_RATIO * float(np.max(np.abs(g_tilde)))
     residuals = {}
 
@@ -342,7 +276,7 @@ def select_lambda(g_tilde: np.ndarray, sigma_abs: float) -> tuple[float, np.ndar
         residuals[lam] = fit_residual(g, g_tilde)
         return g
 
-    lam_max = TikhonovConfig.resolved_lambda_max(n)
+    lam_max = _lambda_max(n)
     lo = hi = kept = None  # kept: the solution at hi, the smallest lambda that reached
     n_bisect = 0
     scan = np.geomspace(_LAMBDA_MIN, lam_max, _GRID_POINTS)[::-1].tolist()
@@ -439,7 +373,7 @@ def select_width(g_measured: np.ndarray, b1: float, b2_T: float,
 
     Finds the width whose `_gaussian_mollifier` smoothing g_delta of the K
     samples `g_measured` has a residual ||g_delta - g|| over the K samples
-    that reaches `TikhonovConfig.discrepancy_target(K, sigma_abs)`: the cap
+    that reaches `discrepancy_target(K, sigma_abs)`: the cap
     0.5 first, then log-width bisection between 1e-3 and 0.5 down to
     hi/lo <= 1.05, always 8 trial widths.  Each trial's residual is read
     from the spectrum by Parseval, so the search makes one `rfft` and one
@@ -454,7 +388,7 @@ def select_width(g_measured: np.ndarray, b1: float, b2_T: float,
     """
     g = np.asarray(g_measured, dtype=float)
     mollifier = _gaussian_mollifier(g, b1, b2_T)
-    target = TikhonovConfig.discrepancy_target(g.size, sigma_abs)
+    target = discrepancy_target(g.size, sigma_abs)
     trials = []  # (width, residual) in search order
 
     def falls_short(width: float) -> bool:

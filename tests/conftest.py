@@ -191,7 +191,7 @@ def transform_width_search(g, b1, b2, sigma_abs):
     residuals of `driftrec.select_width`."""
     g = np.asarray(g, dtype=float)
     smooth = dr.mollify._gaussian_mollifier(g, b1, b2)
-    target = dr.TikhonovConfig.discrepancy_target(g.size, sigma_abs)
+    target = dr.mollify.discrepancy_target(g.size, sigma_abs)
     lo, hi = 1e-3, 0.5
     kept = smooth(hi)
     if np.linalg.norm(kept - g) < target:

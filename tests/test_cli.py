@@ -20,22 +20,11 @@ class TestExitCodes:
         assert main(["invert", "bogus"]) == 2
         assert "valid presets" in capsys.readouterr().err
 
-    def test_bad_lambda(self, capsys):
-        assert main(["invert", "ex1a", "--lambda", "huge"]) == 2
-
     @pytest.mark.parametrize("command", ["experiment", "mollify"])
     def test_removed_subcommand(self, command, capsys):
         # `invert` runs the whole pipeline; `--out` writes what these commands wrote
         assert main([command, "ex3e"]) == 2
         assert "invalid choice" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["invert", "ex1a", "--data-points", "1001", "--lambda", "1.0"],
-        ["invert", "ex3e", "--data-points", "2001", "--lambda", "1e24", "--no-mollify"],
-    ])
-    def test_fixed_lambda_without_mollify(self, argv, capsys):
-        assert main(argv) == 2
-        assert "needs a run that mollifies its data" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["invert", "ex1a", "--data-points", "1001", "--seed", "11"],
@@ -52,15 +41,13 @@ class TestExitCodes:
         assert main(["invert", "ex3e", "--data-points", "3"]) == 2
         assert "data_points" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--lambda", "inf"], ["--seed", "-1"], ["--noise", "-0.01"],
-                                       ["--lambda", "1e31"], ["--tol", "inf"], ["--tol", "1e400"],
-                                       ["--lambda", "nan"]])
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--noise", "-0.01"], ["--tol", "inf"],
+                                       ["--tol", "1e400"]])
     def test_out_of_range_value(self, flags, capsys):
         assert main(["invert", "ex3e", *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [[], ["--no-mollify"], ["--lambda", "1e20"]],
-                             ids=["search", "no-mollify", "fixed-lambda"])
+    @pytest.mark.parametrize("extra", [[], ["--no-mollify"]], ids=["search", "no-mollify"])
     @pytest.mark.parametrize("level", ["1e153", "1e200", "1e308"])
     def test_noise_level_overflowing_the_data_error(self, level, extra, tmp_path, capsys):
         # rejected where the noise is drawn, before any file: not an Infinity in trace.json
@@ -77,6 +64,9 @@ class TestExitCodes:
         ["suite", "--formats", "json"],
         ["forward", "ex1a", "--seed", "7"],
         ["suite", "--noise", "0.01"],
+        # the width search is the one smoother: there is no fixed Tikhonov weight to give
+        ["invert", "ex3e", "--lambda", "1e24"],
+        ["suite", "--lambda", "1e24"],
     ])
     def test_flag_the_subcommand_does_not_read(self, argv, capsys):
         assert main(argv) == 2
@@ -162,19 +152,6 @@ class TestCommands:
         assert record["error_before"] == float(np.linalg.norm(bundle.g_noisy - bundle.g_exact))
         assert record["error_after"] == float(np.linalg.norm(bundle.g_mollified - bundle.g_exact))
         assert record["error_after"] < record["error_before"]
-
-    def test_lambda_auto_rejected(self, capsys):
-        # --lambda takes a number; leaving it off is the only way to ask for the search
-        assert main(["invert", "ex3e", "--data-points", "2001", "--lambda", "auto"]) == 2
-        assert "--lambda" in capsys.readouterr().err
-
-    def test_fixed_lambda_accepted(self, tmp_path):
-        code = main(["invert", "ex3e", "--lambda", "1e24", "--data-points", "2001",
-                     "--out", str(tmp_path)])
-        assert code == 0
-        doc = json.loads((tmp_path / "trace.json").read_text())
-        assert doc["mollification"]["mode"] == "fixed"
-        assert doc["mollification"]["lambda"] == 1e24
 
     def test_invert_writes_the_four_files(self, tmp_path, capsys):
         code = main(["invert", "ex1b", "--data-points", "1001", "--out", str(tmp_path)])

@@ -83,7 +83,6 @@ class TestPresets:
             assert p.noise == dr.NoiseSpec(level=0.01, seed=7) and p.mollify
         else:
             assert p.noise is None and not p.mollify
-        assert p.tikhonov.lam is None
 
     def test_overrides(self):
         p = dr.make_preset("ex3e", noise_level=0.03, seed=11, mollify=False,
@@ -95,15 +94,10 @@ class TestPresets:
         assert p.data_grid_refinement == 2 and p.data_points == 501
         assert p.iteration.max_iter == 9 and p.iteration.tol_step == 1e-6
 
-    def test_lambda_override(self):
-        p = dr.make_preset("ex3e", lam=0.5)
-        assert p.mollify and p.tikhonov.lam == 0.5
-
-    @pytest.mark.parametrize("name, mollify", [("ex1a", None), ("ex3e", False)])
-    def test_fixed_lambda_without_mollify_rejected(self, name, mollify):
-        # only the mollifier reads lambda: a run that skips it would ignore the value
-        with pytest.raises(ConfigurationError, match="fixed lambda 1 needs a run that mollifies"):
-            dr.make_preset(name, mollify=mollify, lam=1.0)
+    def test_no_penalty_weight(self):
+        # the width search is the one smoother: a preset takes no Tikhonov weight
+        with pytest.raises(TypeError, match="lam"):
+            dr.make_preset("ex3e", lam=1.0)
 
     @pytest.mark.parametrize("noise_level", [None, 0.0])
     def test_mollify_without_noise_rejected(self, noise_level):
@@ -114,14 +108,6 @@ class TestPresets:
         with pytest.raises(ConfigurationError, match="grid_m"):
             dr.make_preset("ex3e", data_points=20)
         assert dr.make_preset("ex3e", data_points=21).data_points == 21
-
-    def test_fixed_lambda_bounded_by_search_ceiling(self):
-        # above 1e14 * (K-1)^4 the normal equations are no longer numerically definite
-        ceiling = 1e14 * 2000.0**4
-        assert dr.make_preset("ex3e", data_points=2001, lam=ceiling).tikhonov.lam == ceiling
-        with pytest.raises(ConfigurationError, match="lambda") as exc:
-            dr.make_preset("ex3e", data_points=2001, lam=float(np.nextafter(ceiling, np.inf)))
-        assert f"{ceiling:g}" in str(exc.value)
 
     @pytest.mark.parametrize("name", ["", "a\0b", "a\x01b", "a\tb", "a\udc80b"])
     def test_name_no_file_can_hold_rejected(self, tmp_path, name):
@@ -195,15 +181,6 @@ class TestGenerateData:
 
 
 class TestMollifyData:
-    def test_fixed_lambda_records_sigma_and_target(self):
-        preset = dr.make_preset("ex3e", data_points=2001, lam=1e24)
-        g_exact, g_measured = dr.synthesize(preset)
-        g_star, record = dr.mollify_data(preset, g_exact, g_measured)
-        assert record["mode"] == "fixed" and record["lambda"] == 1e24
-        assert record["sigma_abs"] == dr.noise_sigma(g_exact, preset.noise)
-        assert record["target"] == dr.TikhonovConfig.discrepancy_target(2001, record["sigma_abs"])
-        assert np.all(np.isfinite(g_star))
-
     def test_array_only_right_flux(self, tmp_path):
         # b2(T) is sampled as the forward solve samples b2, so a flux that indexes its
         # argument, which only an array allows, gives the preset's own bytes
@@ -222,6 +199,8 @@ class TestMollifyData:
         assert set(record) == {"mode", "width", "residual", "target", "sigma_abs", "data_points",
                                "error_before", "error_after"}
         assert record["mode"] == "kernel"
+        assert record["sigma_abs"] == dr.noise_sigma(g_exact, preset.noise)
+        assert record["target"] == dr.mollify.discrepancy_target(2001, record["sigma_abs"])
         width, expected = dr.select_width(g_measured, 1.0, 2.0, record["sigma_abs"])
         assert record["width"] == width and np.array_equal(g_star, expected)
         assert record["residual"] == float(np.linalg.norm(g_star - g_measured))

@@ -22,7 +22,7 @@ def _objective(design, penalty, g_tilde, lam, g):
 
 def _scan_grid(n):
     """The default scan: 8 geometric values from 1e-12 up to the ceiling at K = n."""
-    return np.geomspace(1e-12, dr.TikhonovConfig.resolved_lambda_max(n), 8).tolist()
+    return np.geomspace(1e-12, mollify._lambda_max(n), 8).tolist()
 
 
 def _fail_solve(monkeypatch, failure, call):
@@ -201,28 +201,19 @@ class TestAssembleRhs:
             dr.assemble_rhs(np.array([1.0, 2.0]), 0.0, 0.0, 0.1)
 
 
-class TestNormalBands:
+class TestFitResidual:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_closed_form_matches_sparse_products(self, data):
-        # the search's closed-form bands and residual against the sparse products
-        # they replace, bit for bit, at small K and at the paper presets' sizes
+    def test_matches_sparse_product(self, data):
+        # the lambda search's residual from A's rows against the sparse product it
+        # replaces, bit for bit, at small K and at the paper presets' sizes
         n = data.draw(st.one_of(st.integers(3, 300), st.sampled_from((1001, 10001))), label="K")
         # finite, and small enough that the squared residual norm cannot overflow
         finite = st.floats(-1e150, 1e150)
         g_tilde = data.draw(hnp.arrays(np.float64, n, elements=finite), label="g_tilde")
         g = data.draw(hnp.arrays(np.float64, n, elements=finite), label="g")
         design = dr.build_design_matrix(n)
-        bands = mollify.normal_bands(g_tilde)
-        expected = mollify.normal_equations(design, dr.build_regularization_matrix(n), g_tilde)
-        for got, want in zip(bands, expected):
-            assert np.array_equal(got, want)
-        assert bands[0].flags.f_contiguous and bands[1].flags.f_contiguous
         assert mollify.fit_residual(g, g_tilde) == np.linalg.norm(design @ g - g_tilde)
-
-    def test_too_small(self):
-        with pytest.raises(ConfigurationError, match="3"):
-            mollify.normal_bands(np.ones(2))
 
 
 class TestSolveTikhonov:
@@ -334,6 +325,11 @@ class TestSolveTikhonov:
 
 
 class TestSelectLambda:
+    def test_ceiling_scales_with_data_size(self):
+        ceiling = mollify._lambda_max
+        assert ceiling(10_001) >= 1e29
+        assert ceiling(101) < ceiling(10_001)
+
     def test_zero_noise_returns_lambda_min(self):
         g = np.linspace(1.0, 2.0, 51)
         lam, _ = dr.select_lambda(g, 0.0)
@@ -351,7 +347,7 @@ class TestSelectLambda:
         s = ex3e_noisy_setup
         _, g_star = dr.select_lambda(s["g_tilde"], s["sigma"])
         residual = np.linalg.norm(s["design"] @ g_star - s["g_tilde"])
-        target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
+        target = mollify.discrepancy_target(s["g_tilde"].size, s["sigma"])
         assert residual >= target
         assert residual <= 1.1 * target
 
@@ -363,7 +359,7 @@ class TestSelectLambda:
 
     def test_residual_monotone_in_lambda(self, ex3e_noisy_setup):
         s = ex3e_noisy_setup
-        lam_grid = np.geomspace(1e-12, dr.TikhonovConfig.resolved_lambda_max(s["g_tilde"].size), 20)
+        lam_grid = np.geomspace(1e-12, mollify._lambda_max(s["g_tilde"].size), 20)
         residuals = []
         smoothness = []
         for lam in lam_grid:
@@ -400,7 +396,7 @@ class TestSelectLambda:
         # lambda lies in the top scan interval: the ceiling and the point below it
         assert (n_grid, n_bisect) == (2, 9)
         assert hi == lam and hi / lo <= 1.05
-        target = dr.TikhonovConfig.discrepancy_target(s["g_tilde"].size, s["sigma"])
+        target = mollify.discrepancy_target(s["g_tilde"].size, s["sigma"])
         assert np.linalg.norm(s["design"] @ g_star - s["g_tilde"]) >= target
 
     def test_no_qualifying_lambda_raises(self, monkeypatch):
@@ -410,10 +406,10 @@ class TestSelectLambda:
         g = np.linspace(0.0, 1e-3, n)
         design = dr.build_design_matrix(n)
         penalty = dr.build_regularization_matrix(n)
-        ceiling = dr.TikhonovConfig.resolved_lambda_max(n)
+        ceiling = mollify._lambda_max(n)
         residual = float(np.linalg.norm(design @ dr.solve_tikhonov(design, penalty, g, ceiling)
                                          - g))
-        target = dr.TikhonovConfig.discrepancy_target(n, 10.0)
+        target = mollify.discrepancy_target(n, 10.0)
         solved = []
         original = mollify._solve_bands
 
@@ -509,12 +505,9 @@ class TestSelectLambda:
         def tikhonov_path(*args, **kwargs):
             raise AssertionError("a search run reached the Tikhonov smoother")
 
-        for module, name in ((mollify, "dpbsv"), (mollify, "normal_bands"),
-                             (mollify, "normal_equations"),
+        for module, name in ((mollify, "dpbsv"), (mollify, "normal_equations"),
                              (mollify, "build_design_matrix"),
                              (mollify, "build_regularization_matrix"),
-                             (experiments, "build_design_matrix"),
-                             (experiments, "build_regularization_matrix"),
                              (experiments, "solve_tikhonov")):
             monkeypatch.setattr(module, name, tikhonov_path)
         calls = {"rfft": 0, "irfft": 0}
@@ -539,7 +532,7 @@ class TestSelectLambda:
         # and the ceiling, where the bisection solves, factor and keep the solution
         # within the blow-up bound 1e6 * ||g~||_inf, whatever the data's shape and scale
         n = data.draw(st.integers(3, 400), label="K")
-        log_max = np.log10(dr.TikhonovConfig.resolved_lambda_max(n))
+        log_max = np.log10(mollify._lambda_max(n))
         drawn = data.draw(st.lists(st.floats(-12.0, log_max), min_size=1, max_size=8),
                           label="log10 lambda")
         kind = data.draw(st.sampled_from(("uniform", "spike", "extreme", "linear")), label="kind")
@@ -554,7 +547,8 @@ class TestSelectLambda:
                                                   min_size=n, max_size=n)))
         else:
             g_tilde = np.linspace(data.draw(mag), data.draw(mag), n)
-        bands = mollify.normal_bands(g_tilde)
+        bands = mollify.normal_equations(dr.build_design_matrix(n),
+                                         dr.build_regularization_matrix(n), g_tilde)
         for lam in _scan_grid(n) + [10.0**e for e in drawn]:
             g = mollify._solve_bands(*bands, lam)
             assert np.max(np.abs(g)) <= 1e6 * np.max(np.abs(g_tilde))
@@ -644,7 +638,7 @@ class TestSelectWidth:
         width, g_star = dr.select_width(s["g_noisy"], 1.0, 2.0, s["sigma"])
         smooth = mollify._gaussian_mollifier(s["g_noisy"], 1.0, 2.0)
         assert np.array_equal(g_star, smooth(width))
-        target = dr.TikhonovConfig.discrepancy_target(s["g_noisy"].size, s["sigma"])
+        target = mollify.discrepancy_target(s["g_noisy"].size, s["sigma"])
         assert np.linalg.norm(g_star - s["g_noisy"]) >= target
         assert np.linalg.norm(smooth(width / 1.05) - s["g_noisy"]) < target
         assert (np.linalg.norm(g_star - s["g_exact"])
@@ -656,7 +650,7 @@ class TestSelectWidth:
             width, g_star = dr.select_width(s["g_noisy"], 1.0, 2.0, s["sigma"])
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
-        target = dr.TikhonovConfig.discrepancy_target(s["g_noisy"].size, s["sigma"])
+        target = mollify.discrepancy_target(s["g_noisy"].size, s["sigma"])
         assert message.startswith(f"width search: target {target!r}, (width, residual) [(0.5, ")
         path = message.split("(width, residual) ")[1].split(", final bracket")[0]
         trials = re.findall(r"\(([^,()]+), ([^,()]+)\)", path)
@@ -680,7 +674,7 @@ class TestSelectWidth:
         g = np.linspace(0.0, 1e-3, n)
         cap = mollify._gaussian_mollifier(g, 1e-3, 1e-3)(0.5)
         residual = float(np.linalg.norm(cap - g))
-        target = dr.TikhonovConfig.discrepancy_target(n, 10.0)
+        target = mollify.discrepancy_target(n, 10.0)
         calls = []
         original = np.fft.irfft
 
@@ -739,14 +733,3 @@ class TestRestrict:
         out = dr.restrict(data, target)
         exact = np.sin(np.pi * target.nodes)
         assert np.max(np.abs(out.values - exact)) <= (np.pi**2 / 8.0) * h**2
-
-
-class TestTikhonovConfig:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="lambda"):
-            dr.TikhonovConfig(lam=0.0)
-
-    def test_ceiling_scales_with_data_size(self):
-        ceiling = dr.TikhonovConfig.resolved_lambda_max
-        assert ceiling(10_001) >= 1e29
-        assert ceiling(101) < ceiling(10_001)

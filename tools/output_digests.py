@@ -7,8 +7,7 @@ OUT must be absent or empty.  The set is:
 - every preset at its defaults (`driftrec suite`);
 - ex1a on a 400x400 solver grid;
 - ex3e and ex3f at noise seeds 7, 11, 13 and 31;
-- ex3e on 2001 data points, once with a fixed lambda of 1e24 and once with
-  the width search;
+- ex3e on 2001 data points with the width search;
 - ex3e without mollification, a failed run (exit code 3) whose files hold
   the error, the partial trace and the admissibility report;
 - `driftrec forward ex1a --out`.
@@ -46,8 +45,6 @@ def _runs(out: Path) -> list[tuple[list[str], int]]:
         for seed in NOISY_SEEDS:
             runs.append(["invert", name, "--seed", str(seed),
                          "--out", str(out / f"{name}-seed{seed}")])
-    runs.append(["invert", "ex3e", "--data-points", "2001", "--lambda", "1e24", "--seed", "7",
-                 "--out", str(out / "ex3e-lambda1e24")])
     runs.append(["invert", "ex3e", "--noise", "0.01", "--seed", "7", "--data-points", "2001",
                  "--out", str(out / "ex3e-k2001")])
     runs.append(["forward", "ex1a", "--out", str(out / "forward-ex1a")])
