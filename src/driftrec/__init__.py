@@ -3,8 +3,9 @@ equation from final-time measurements.
 
 The package bundles an implicit finite-difference forward solver, a
 monotone fixed-point inversion loop, Gaussian mollification for noisy
-data with a discrepancy-principle width, and an experiment harness with
-six reference reconstructions.
+data with a discrepancy-principle width, `reconstruct`, which mollifies
+and inverts a measurement given only its noise level, and an experiment
+harness that scores it on six reference reconstructions.
 """
 
 __version__ = "0.1.0"
@@ -52,7 +53,7 @@ from .experiments import (
     ResultBundle,
     emit_outputs,
     make_preset,
-    mollify_data,
+    reconstruct,
     run_experiment,
     run_suite,
     synthesize,
@@ -95,7 +96,7 @@ __all__ = [
     "PRESET_NAMES",
     "make_preset",
     "synthesize",
-    "mollify_data",
+    "reconstruct",
     "run_experiment",
     "emit_outputs",
     "run_suite",

@@ -2,9 +2,10 @@
 
 The CLI exits 2 on a `ConfigurationError` (bad input or setup) and 3 on a
 `NumericalError`; `run_iteration` ends on a `NumericalError` from an update
-and attaches its trace; `run_experiment` records a `DivergenceError` (a
-failed inversion) as a `failed` run that still writes its files; perfbench
-counts `IllPosedError` (a failed smoothing step, raised before any file is
+and attaches its trace; `reconstruct` returns a `DivergenceError` (a failed
+inversion) as its error message and partial trace, which `run_experiment`
+records as a `failed` run that still writes its files; perfbench counts
+`IllPosedError` (a failed smoothing step, raised before any file is
 written) by name.
 """
 

@@ -6,10 +6,11 @@ kinks at T=0.5 (ex2c, ex2d), and two rough drifts on a coarse 20x80 grid
 recovered from noisy, mollified data (ex3e, ex3f).
 
 A run is: synthesize data with an inverse-crime guard (forward solve on a
-refined grid, sampled onto a fine data grid), optionally add seeded noise
-and mollify, restrict to the solver grid, iterate the fixed-point update,
-and emit CSV/JSON/SVG artifacts that are byte-reproducible from the
-recorded provenance.
+refined grid, sampled onto a fine data grid) and optionally add seeded
+noise; `reconstruct` the drift from that measurement and its noise level
+alone (mollify, restrict to the solver grid, iterate the fixed-point
+update); score it against the truth; and emit CSV/JSON/SVG artifacts that
+are byte-reproducible from the recorded provenance.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from . import __version__
 from .errors import ConfigurationError, DivergenceError
 from .forward import solve_forward
 from .inversion import IterationConfig, IterationTrace, error_metrics, run_iteration
-from .model import GridFunction, ProblemSpec, build_grids, sample_on, validate_assumptions
+from .model import (GridFunction, GridPair, ProblemSpec, build_grids, sample_on,
+                    validate_assumptions)
 from .mollify import (
     NoiseSpec,
     add_noise,
@@ -219,39 +221,44 @@ def synthesize(preset: ExperimentPreset) -> tuple[np.ndarray, np.ndarray]:
     return g_exact, g_measured
 
 
-def mollify_data(
-    preset: ExperimentPreset, g_exact: np.ndarray, g_measured: np.ndarray
-) -> tuple[np.ndarray, dict]:
-    """Denoise the noisy measurement.
+def reconstruct(
+    spec: ProblemSpec, grids: GridPair, g_measured: np.ndarray, sigma_abs: float | None,
+    iteration: IterationConfig,
+) -> tuple[np.ndarray, dict | None, GridFunction, GridFunction | None, IterationTrace | None,
+           str | None]:
+    """Recover the drift from the measurement alone: (mollify) -> restrict -> invert.
 
-    The preset's data is mollified with the Gaussian width the discrepancy
-    principle picks (`select_width`), whose smoothing is g* itself.  Returns
-    g* and a record of the mode (`"kernel"`), the width, the residual,
-    sigma, the discrepancy target, K and the 2-norm of the data error
-    before and after.  A preset without noise has nothing to mollify and
-    is rejected.
+    With a noise level `sigma_abs` the data is mollified with the Gaussian
+    width the discrepancy principle picks (`select_width`), and the record
+    holds the mode (`"kernel"`), the width, the residual, the target, sigma
+    and K; with None it is inverted as measured.  Returns (g*, record, g*
+    restricted to the solver grid, q_rec, trace, error): a `DivergenceError`
+    gives its message, no q_rec and the partial trace.  A width search that
+    reaches no width up to the cap raises its `IllPosedError`.
     """
-    if preset.noise is None:
-        raise ConfigurationError("mollify_data needs a preset with a noise level > 0")
-    spec = preset.spec
-    b2_T = float(sample_on(spec.right_flux, [spec.horizon])[0])
-    sigma_abs = noise_sigma(g_exact, preset.noise)
-    width, g_star = select_width(g_measured, spec.left_flux, b2_T, sigma_abs)
-    record = {
-        "mode": "kernel",
-        "width": width,
-        "residual": float(np.linalg.norm(g_star - g_measured)),
-        "target": discrepancy_target(preset.data_points, sigma_abs),
-        "sigma_abs": sigma_abs,
-        "data_points": int(preset.data_points),
-        "error_before": float(np.linalg.norm(g_measured - g_exact)),
-        "error_after": float(np.linalg.norm(g_star - g_exact)),
-    }
-    return g_star, record
+    if sigma_abs is None:
+        g_star, mollification = g_measured, None
+    else:
+        b2_T = float(sample_on(spec.right_flux, [spec.horizon])[0])
+        width, g_star = select_width(g_measured, spec.left_flux, b2_T, sigma_abs)
+        mollification = {
+            "mode": "kernel",
+            "width": width,
+            "residual": float(np.linalg.norm(g_star - g_measured)),
+            "target": discrepancy_target(g_measured.size, sigma_abs),
+            "sigma_abs": sigma_abs,
+            "data_points": g_measured.size,
+        }
+    data = restrict(g_star, grids.space)
+    try:
+        q_rec, trace = run_iteration(data, spec, grids, iteration)
+    except DivergenceError as exc:
+        return g_star, mollification, data, None, exc.trace, str(exc)
+    return g_star, mollification, data, q_rec, trace, None
 
 
 def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) -> ResultBundle:
-    """Execute generate -> (mollify) -> restrict -> invert -> metrics.
+    """Execute synthesize -> `reconstruct` -> score against the true drift and data.
 
     A failed inversion (`DivergenceError`: divergence or hopeless data) is
     captured into the bundle rather than raised, so runs can be compared.  A
@@ -265,28 +272,15 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
     q_true_grid = GridFunction.sample(grids.space, preset.q_true)
 
     g_exact, g_measured = synthesize(preset)
+    sigma_abs = noise_sigma(g_exact, preset.noise) if preset.mollify else None
+    g_star, mollification, data, q_rec, trace, error = reconstruct(
+        spec, grids, g_measured, sigma_abs, preset.iteration)
 
-    if preset.mollify:
-        g_star, mollification = mollify_data(preset, g_exact, g_measured)
-    else:
-        g_star, mollification = g_measured, None
-
-    data_grid_fn = restrict(g_star, grids.space)
-
-    status = "ok"
-    error = None
-    q_rec = None
-    trace = None
-    metrics = None
-    try:
-        q_rec, trace = run_iteration(data_grid_fn, spec, grids, preset.iteration)
-        metrics = error_metrics(q_rec, q_true_grid)
-    except DivergenceError as exc:
-        status = "failed"
-        error = str(exc)
-        trace = exc.trace
-
-    assumptions = validate_assumptions(spec, q_true_grid, data=data_grid_fn)
+    if mollification is not None:
+        mollification["error_before"] = float(np.linalg.norm(g_measured - g_exact))
+        mollification["error_after"] = float(np.linalg.norm(g_star - g_exact))
+    metrics = error_metrics(q_rec, q_true_grid) if q_rec is not None else None
+    assumptions = validate_assumptions(spec, q_true_grid, data=data)
 
     noise = preset.noise
     provenance = {
@@ -307,7 +301,7 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
 
     bundle = ResultBundle(
         preset=preset,
-        status=status,
+        status="ok" if error is None else "failed",
         error=error,
         q_true_grid=q_true_grid,
         q_recovered=q_rec,
@@ -315,7 +309,7 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
         metrics=metrics,
         g_exact=g_exact,
         g_noisy=g_measured,
-        g_mollified=np.asarray(g_star, dtype=float),
+        g_mollified=g_star,
         mollification=mollification,
         assumptions=assumptions,
         provenance=provenance,

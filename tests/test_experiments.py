@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import re
 import statistics
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import driftrec as dr
+from driftrec import experiments
 from driftrec.errors import ConfigurationError, DivergenceError
 from driftrec.experiments import (
     csv_lines,
@@ -195,22 +197,93 @@ class TestMollifyData:
     def test_search_records_width_and_residual(self):
         preset = dr.make_preset("ex3e", data_points=2001, seed=7)
         g_exact, g_measured = dr.synthesize(preset)
-        g_star, record = dr.mollify_data(preset, g_exact, g_measured)
-        assert set(record) == {"mode", "width", "residual", "target", "sigma_abs", "data_points",
-                               "error_before", "error_after"}
+        sigma = dr.noise_sigma(g_exact, preset.noise)
+        grids = dr.build_grids(*preset.solver_grid, preset.spec.horizon)
+        g_star, record, *_ = dr.reconstruct(preset.spec, grids, g_measured, sigma,
+                                            preset.iteration)
+        assert set(record) == {"mode", "width", "residual", "target", "sigma_abs", "data_points"}
         assert record["mode"] == "kernel"
-        assert record["sigma_abs"] == dr.noise_sigma(g_exact, preset.noise)
-        assert record["target"] == dr.mollify.discrepancy_target(2001, record["sigma_abs"])
-        width, expected = dr.select_width(g_measured, 1.0, 2.0, record["sigma_abs"])
+        assert record["sigma_abs"] == sigma and record["data_points"] == 2001
+        assert record["target"] == dr.mollify.discrepancy_target(2001, sigma)
+        width, expected = dr.select_width(g_measured, 1.0, 2.0, sigma)
         assert record["width"] == width and np.array_equal(g_star, expected)
         assert record["residual"] == float(np.linalg.norm(g_star - g_measured))
         assert record["residual"] >= record["target"]
+        # the scoring side adds the two data-error norms, which need the exact data
+        bundle = dr.run_experiment(preset)
+        assert bundle.mollification == {
+            **record,
+            "error_before": float(np.linalg.norm(g_measured - g_exact)),
+            "error_after": float(np.linalg.norm(g_star - g_exact)),
+        }
 
-    def test_discrepancy_search_without_noise_rejected(self):
-        preset = dr.make_preset("ex1a", data_points=1001)
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReconstruct:
+    @pytest.mark.parametrize("overrides, status", [
+        (dict(name="ex1a"), "ok"),
+        (dict(name="ex3e", seed=7, data_points=2001), "ok"),
+        (dict(name="ex3e", mollify=False), "failed"),
+    ], ids=["exact", "searched", "failed"])
+    def test_reproduces_run_experiment(self, overrides, status):
+        # the measurement and its noise level alone give the pipeline's result bit for bit
+        preset = dr.make_preset(**overrides)
+        bundle = dr.run_experiment(preset)
+        assert bundle.status == status
         g_exact, g_measured = dr.synthesize(preset)
-        with pytest.raises(ConfigurationError, match="noise level > 0"):
-            dr.mollify_data(preset, g_exact, g_measured)
+        sigma = dr.noise_sigma(g_exact, preset.noise) if preset.mollify else None
+        grids = dr.build_grids(*preset.solver_grid, preset.spec.horizon)
+        g_star, record, data, q_rec, trace, error = dr.reconstruct(
+            preset.spec, grids, g_measured, sigma, preset.iteration)
+        assert error == bundle.error
+        assert _same_bits(g_star, bundle.g_mollified)
+        assert _same_bits(data.values, dr.restrict(bundle.g_mollified, grids.space).values)
+        if bundle.q_recovered is None:
+            assert q_rec is None
+        else:
+            assert _same_bits(q_rec.values, bundle.q_recovered.values)
+        assert trace.as_dict() == bundle.trace.as_dict()
+        assert len(trace.iterates) == len(bundle.trace.iterates)
+        for ours, theirs in zip(trace.iterates, bundle.trace.iterates):
+            assert _same_bits(ours.values, theirs.values)
+        if record is None:
+            assert bundle.mollification is None
+        else:
+            assert record == {key: bundle.mollification[key] for key in record}
+            assert len(record) == 6
+        assert (error is None) == (status == "ok")
+
+    def test_signature_takes_no_truth(self):
+        assert list(inspect.signature(dr.reconstruct).parameters) == [
+            "spec", "grids", "g_measured", "sigma_abs", "iteration"]
+
+    def test_mollified_run_that_diverges_is_recorded(self, monkeypatch, tmp_path):
+        # no preset reaches a failed inversion after the width search, so the iteration is
+        # made to fail after it ran: the run is failed, the record keeps all eight keys
+        # and the four files are still written
+        run_iteration = experiments.run_iteration
+
+        def diverging(data, spec, grids, cfg):
+            _, trace = run_iteration(data, spec, grids, cfg)
+            raise DivergenceError("iteration diverged: forced", trace=trace)
+
+        monkeypatch.setattr(experiments, "run_iteration", diverging)
+        bundle = dr.run_experiment(dr.make_preset("ex3e"), out_dir=tmp_path)
+        assert bundle.status == "failed"
+        assert bundle.error == "iteration diverged: forced"
+        assert bundle.q_recovered is None and bundle.metrics is None
+        assert set(bundle.mollification) == {"mode", "width", "residual", "target", "sigma_abs",
+                                             "data_points", "error_before", "error_after"}
+        assert bundle.mollification["error_after"] < bundle.mollification["error_before"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(_BUNDLE_FILES)
+        doc = json.loads((tmp_path / "trace.json").read_text())
+        assert doc["status"] == "failed" and doc["metrics"] is None
+        assert doc["mollification"] == bundle.mollification
+        assert doc["iteration"] == bundle.trace.as_dict()
 
 
 class TestRunExperiment:

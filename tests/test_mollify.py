@@ -521,7 +521,9 @@ class TestSelectLambda:
             monkeypatch.setattr(np.fft, name, counted)
         preset = dr.make_preset("ex3e")
         g_exact, g_measured = dr.synthesize(preset)
-        _, record = dr.mollify_data(preset, g_exact, g_measured)
+        grids = dr.build_grids(*preset.solver_grid, preset.spec.horizon)
+        _, record, *_ = dr.reconstruct(preset.spec, grids, g_measured,
+                                       dr.noise_sigma(g_exact, preset.noise), preset.iteration)
         assert record["mode"] == "kernel"
         assert calls == {"rfft": 1, "irfft": 1}
 
