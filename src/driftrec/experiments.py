@@ -323,14 +323,25 @@ def run_experiment(preset: ExperimentPreset, out_dir: str | Path | None = None) 
 # Output emission
 # ---------------------------------------------------------------------------
 
-def csv_lines(columns) -> list[str]:
+def csv_lines(columns, formatted: dict | None = None) -> list[str]:
     """One comma-separated line per row of the equal-length columns.
 
     Each column becomes Python floats once (`tolist`), so every value is
-    written as `repr(float(v))`, the shortest text that round-trips.
+    written as `repr(float(v))`, the shortest text that round-trips.  A
+    column is formatted once per distinct bit pattern: `formatted` maps a
+    column's bytes to its texts, and callers that share it across calls
+    share the columns too.
     """
-    cols = [np.asarray(col, dtype=float).tolist() for col in columns]
-    return [",".join(map(repr, row)) for row in zip(*cols)]
+    if formatted is None:
+        formatted = {}
+    texts = []
+    for col in columns:
+        values = np.asarray(col, dtype=float)
+        key = values.tobytes()
+        if key not in formatted:
+            formatted[key] = list(map(repr, values.tolist()))
+        texts.append(formatted[key])
+    return list(map(",".join, zip(*texts)))
 
 
 def emit_outputs(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
@@ -348,12 +359,16 @@ def emit_outputs(bundle: ResultBundle, out_dir: str | Path) -> list[Path]:
     iterates = bundle.trace.iterates if bundle.trace is not None else []
     header = ["x", "q_true"] + [f"q_{k}" for k in range(len(iterates))]
     cols = [x, bundle.q_true_grid.values] + [it.values for it in iterates]
-    drift_csv = [",".join(header)] + csv_lines(cols)
+    # the node column, and g_noisy and g_mollified on a run without noise, are formatted once
+    formatted: dict[bytes, list[str]] = {}
+    drift_csv = [",".join(header)] + csv_lines(cols, formatted)
 
     g_exact = restrict(bundle.g_exact, grid).values
     g_noisy = restrict(bundle.g_noisy, grid).values
     g_moll = restrict(bundle.g_mollified, grid).values
-    solution_csv = ["x,g_exact,g_noisy,g_mollified"] + csv_lines([x, g_exact, g_noisy, g_moll])
+    solution_csv = ["x,g_exact,g_noisy,g_mollified"] + csv_lines(
+        [x, g_exact, g_noisy, g_moll], formatted
+    )
 
     doc = {
         "status": bundle.status,

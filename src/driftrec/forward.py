@@ -13,21 +13,26 @@ an M-matrix, so the scheme preserves order, and the diagonal matrix
 D = diag(d), d_0 = 1, d_{i+1} = d_i sqrt(lower_i/upper_i), makes
 S = D^-1 M D symmetric with M's positive spectrum (Golub & Van Loan,
 Matrix Computations, 4.3 and 5).  S does not depend on time, so each solve
-factors it once as L diag(p) L^T with LAPACK `dpttrf` and marches in
-w = D^-1 u, one `dpttrs` per step in place on that step's fresh
-right-hand side.  Only the levels that are read are multiplied back by D.
+factors it once as L diag(p) L^T with LAPACK `dpttrf`; then
+tau S = L diag(tau p) L^T.  (Factoring tau times S's bands instead gave
+about ten times the rounding error in u.)  The march runs in w = D^-1 u,
+where a step reads
 
-`solve_forward` is the one time loop.  Whatever does not change from step
-to step is computed once per solve: d, the factors, the source row divided
-by d (f depends on x only), b[0] = -b1 and the right flux over d_m at every
-time level, sampled in one call.  The sampled u^0, f and b2 must be finite.
-A step is then `b = w/tau; b += f/d`, two scalar stores and one `dpttrs`;
-the last two levels are checked for finiteness once, after the loop.
+    tau S w^n = P w^{n-1} + tau f/d - tau b1 e_0 + tau b2(t_n)/d_m e_m,
+
+P the identity with the two flux rows zeroed.  Whatever does not change
+from step to step is computed once per solve: d, the factors, tau f/d
+(f depends on x only), the left-flux entry -tau b1 and the right-flux
+entries tau b2(t_n)/d_m at every time level, sampled in one call.  The
+sampled u^0, f and b2 must be finite before any LAPACK call.  A step is
+then `w += tau f/d` (BLAS `daxpy`), two scalar stores and one `dpttrs` in
+place on w: the loop allocates nothing.  The last two levels are checked
+for finiteness once, after the loop.
 
 The inversion reads the solution only at the final time, so `solve_forward`
 returns g = u^N and u_t = (u^N - u^{N-1})/tau.  The loop holds just the
-current and the previous level and unscales only those: memory is O(m),
-not O(nm).
+current level and copies it once, before the last step; only the levels
+that are read are multiplied back by D.  Memory is O(m), not O(nm).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import ConfigurationError, NumericalError
@@ -92,27 +98,29 @@ def _ldl_factor(lower, diag, upper):
     an off-diagonal that is not negative (for a step matrix, the first
     node with |q| h >= 2), the first node where d is not finite and
     positive, or the first pivot below PIVOT_FLOOR (S not positive
-    definite).  The bands are not modified.
+    definite).  Each check tests the whole array and looks for the failing
+    row only when it fails.  The bands are not modified.
     """
-    row = np.flatnonzero(~(np.r_[True, lower < 0.0] & np.r_[upper < 0.0, True]))
-    if row.size:
+    if not (np.maximum(lower, upper) < 0.0).all():
+        row = np.flatnonzero(~(np.r_[True, lower < 0.0] & np.r_[upper < 0.0, True]))[0]
         raise NumericalError(
-            f"the step matrix cannot be symmetrized: an off-diagonal of row {row[0]} is not "
-            f"negative (|q| h >= 2 at node {row[0]})"
+            f"the step matrix cannot be symmetrized: an off-diagonal of row {row} is not "
+            f"negative (|q| h >= 2 at node {row})"
         )
     ratio = np.sqrt(lower / upper)
+    d = np.empty(ratio.size + 1)
+    d[0] = 1.0
     with np.errstate(over="ignore"):
-        d = np.cumprod(np.r_[1.0, ratio])
-    node = np.flatnonzero(~((d > 0.0) & (d < math.inf)))
-    if node.size:
+        np.cumprod(ratio, out=d[1:])
+    positive = (d > 0.0) & (d < math.inf)
+    if not positive.all():
         raise NumericalError(
             f"the step matrix cannot be symmetrized: d is not finite and positive at node "
-            f"{node[0]}"
+            f"{np.flatnonzero(~positive)[0]}"
         )
     p, l, _ = dpttrf(diag, upper * ratio)
-    tiny = np.flatnonzero(~(p >= PIVOT_FLOOR))
-    if tiny.size:
-        raise NumericalError(f"non-positive pivot in row {tiny[0]}")
+    if not (p >= PIVOT_FLOOR).all():
+        raise NumericalError(f"non-positive pivot in row {np.flatnonzero(~(p >= PIVOT_FLOOR))[0]}")
     return d, p, l
 
 
@@ -125,7 +133,7 @@ def solve_forward(
     (u^N - u^{N-1})/tau, with u^{N-1} = u^0 when n_steps = 1; both are
     plain arrays over the m+1 nodes.
     """
-    d, p, l = _ldl_factor(*assemble_step_matrix(spec, drift, grids))
+    lower, diag, upper = assemble_step_matrix(spec, drift, grids)
     x = grids.space.nodes
     tau = grids.time.tau
     u0 = sample_on(spec.initial, x)
@@ -134,18 +142,26 @@ def solve_forward(
     for name, values in (("initial condition", u0), ("source", f_int), ("right flux", b2)):
         if not np.isfinite(values).all():
             raise ConfigurationError(f"{name} sampled to non-finite values")
-    f_d = np.zeros(x.size)  # the source row over d; b's boundary entries are overwritten
-    f_d[1:-1] = f_int / d[1:-1]
-    right_d = (b2 / d[-1]).tolist()
-    left_flux = -float(spec.left_flux)
+    d, p, l = _ldl_factor(lower, diag, upper)
+    p *= tau  # the factors of tau S
+    tau_f_d = np.zeros(x.size)  # tau f/d; a level's two flux entries are overwritten
+    tau_f_d[1:-1] = tau * f_int / d[1:-1]
+    left = -tau * float(spec.left_flux)
+    *rights, last = (tau * b2 / d[-1]).tolist()
 
-    w_prev = w = u0 / d
-    for right in right_d:
-        b = w / tau
-        b += f_d
-        b[0] = left_flux
-        b[-1] = right
-        w_prev, w = w, dpttrs(p, l, b, overwrite_b=1)[0]
+    # a step in place on w: BLAS daxpy is w += tau f/d without a ufunc's dispatch, and
+    # dpttrs's overwrite_b is passed by position, which skips its keyword parsing
+    w = u0 / d
+    for right in rights:
+        daxpy(tau_f_d, w)
+        w[0] = left
+        w[-1] = right
+        dpttrs(p, l, w, 1)
+    w_prev = w.copy()
+    daxpy(tau_f_d, w)
+    w[0] = left
+    w[-1] = last
+    dpttrs(p, l, w, 1)
     # With finite inputs only an overflow makes a level non-finite.  A step reads the
     # interior of the level before it, and dpttrs spreads a non-finite entry there to every
     # node (S's multipliers are nonzero), so the two levels the result is made of show any

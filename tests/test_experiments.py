@@ -420,6 +420,38 @@ class TestFormattersMatchReference:
         expected = [row_reference(col[i] for col in cols) for i in range(n_rows)]
         assert csv_lines(cols) == expected
 
+    @pytest.mark.parametrize("case", ["ex1a", "ex3e", "signed zeros"])
+    def test_emitted_csvs(self, output_reference, tmp_path, case):
+        # emission formats each distinct column once; the files must equal their columns
+        # formatted one value at a time when columns are shared (ex1a: g_noisy and
+        # g_mollified are g_exact's bits), when they are distinct (ex3e), and when two are
+        # equal in value but not in bits (a -0.0 drift next to a 0.0 iterate)
+        row_reference, _ = output_reference
+        bundle = dr.run_experiment(dr.make_preset("ex3e" if case == "ex3e" else "ex1a"))
+        grid = bundle.q_true_grid.grid
+        g_columns = [dr.restrict(g, grid).values
+                     for g in (bundle.g_exact, bundle.g_noisy, bundle.g_mollified)]
+        if case == "signed zeros":
+            zeros = np.zeros(grid.m + 1)
+            bundle = replace(bundle, q_true_grid=dr.GridFunction(grid, -zeros),
+                             trace=replace(bundle.trace, iterates=[dr.GridFunction(grid, zeros)]))
+        drift_columns = [bundle.q_true_grid.values] + [it.values for it in bundle.trace.iterates]
+        shared = _same_bits(g_columns[0], g_columns[1]) and _same_bits(g_columns[0], g_columns[2])
+        assert shared == (case != "ex3e")
+
+        dr.emit_outputs(bundle, tmp_path)
+        iterate_names = [f"q_{k}" for k in range(len(drift_columns) - 1)]
+        for name, header, cols in (
+            ("drift.csv", ["x", "q_true"] + iterate_names, drift_columns),
+            ("solution.csv", ["x", "g_exact", "g_noisy", "g_mollified"], g_columns),
+        ):
+            cols = [grid.nodes] + cols
+            lines = [",".join(header)]
+            lines += [row_reference(col[i] for col in cols) for i in range(grid.m + 1)]
+            assert (tmp_path / name).read_bytes() == ("\n".join(lines) + "\n").encode()
+        if case == "signed zeros":
+            assert (tmp_path / "drift.csv").read_text().splitlines()[1] == "0.0,-0.0,0.0"
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=3))
     def test_svg_points(self, output_reference, data, lengths):

@@ -216,32 +216,53 @@ class TestForwardSolve:
         # re-march in w = D^-1 u assembling, scaling and factoring the matrix at every step
         x = grids.space.nodes
         tau = grids.time.tau
-        u = dr.sample_on(ex1_spec.initial, x)
+        u0 = dr.sample_on(ex1_spec.initial, x)
         f_int = dr.sample_on(ex1_spec.source, x[1:-1])
-        w = None
-        levels = [u]
+        levels = [u0 / _ldl_factor(*dr.assemble_step_matrix(ex1_spec, q, grids))[0]]
         for n in range(1, grids.time.n_steps + 1):
             d, p, l = _ldl_factor(*dr.assemble_step_matrix(ex1_spec, q, grids))
-            if w is None:
-                w = u / d
-            rhs = np.empty(x.size)
-            rhs[0] = -ex1_spec.left_flux
-            rhs[1:-1] = w[1:-1] / tau + f_int / d[1:-1]
-            rhs[-1] = ex1_spec.right_flux(grids.time.times[n]) / d[-1]
-            w = dpttrs(p, l, rhs)[0]
-            levels.append(w * d)
-        assert np.array_equal(u_T, levels[-1])
-        assert np.array_equal(u_t, (levels[-1] - levels[-2]) / tau)
+            p = tau * p
+            rhs = levels[-1].copy()
+            rhs[1:-1] += tau * f_int / d[1:-1]
+            rhs[0] = -tau * ex1_spec.left_flux
+            rhs[-1] = tau * ex1_spec.right_flux(grids.time.times[n]) / d[-1]
+            levels.append(dpttrs(p, l, rhs)[0])
+        assert np.array_equal(u_T, levels[-1] * d)
+        assert np.array_equal(u_t, (levels[-1] * d - levels[-2] * d) / tau)
+
+    def test_steps_run_in_place(self, ex1_spec, monkeypatch):
+        # every step solves in the one array w: the loop allocates no level
+        grids = dr.build_grids(20, 10, 1.0)
+        q = dr.GridFunction.sample(grids.space, np.sin)
+        seen = []
+
+        def spy(p, l, b, *args, **kwargs):
+            w, info = dpttrs(p, l, b, *args, **kwargs)
+            seen.append((b, w))
+            return w, info
+
+        monkeypatch.setattr("driftrec.forward.dpttrs", spy)
+        dr.solve_forward(ex1_spec, q, grids)
+        assert len(seen) == grids.time.n_steps
+        assert all(b is w is seen[0][0] for b, w in seen)
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(3, 40), n_steps=st.integers(1, 40), a0=st.floats(-1.0, 1.0),
-           a1=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi))
-    @example(m=40, n_steps=5, a0=1.0, a1=0.0, phase=0.0)  # |q| h = 1.99: d grows by ~20 a node
-    @example(m=40, n_steps=5, a0=-1.0, a1=0.0, phase=0.0)  # and shrinks by ~20 a node
-    @example(m=3, n_steps=1, a0=0.0, a1=0.3, phase=0.0)  # the previous level is u^0
+           a1=st.floats(0.0, 1.0), phase=st.floats(0.0, 2.0 * np.pi),
+           potential=st.floats(1e-9, 10.0))
+    @example(m=40, n_steps=5, a0=1.0, a1=0.0, phase=0.0, potential=5.0)  # |q| h = 1.99: d grows
+    @example(m=40, n_steps=5, a0=-1.0, a1=0.0, phase=0.0, potential=5.0)  # or shrinks ~20 a node
+    @example(m=3, n_steps=1, a0=0.0, a1=0.3, phase=0.0, potential=5.0)  # u^{N-1} is u^0
+    @example(m=3, n_steps=40, a0=0.0, a1=0.3, phase=0.0, potential=5.0)  # 1/tau = 40 > 2/h^2
+    @example(m=40, n_steps=40, a0=1.0, a1=0.0, phase=0.0, potential=5.0)  # |q| h = 1.99, 40 steps
+    @example(m=40, n_steps=40, a0=-1.0, a1=0.0, phase=0.0, potential=5.0)
+    # C_p -> 0: the steady state grows like 1/C_p while u^N stays of order 1
+    @example(m=100, n_steps=100, a0=0.5, a1=0.5, phase=0.0, potential=1e-6)
+    @example(m=100, n_steps=100, a0=0.5, a1=0.5, phase=0.0, potential=1e-9)
     def test_solve_forward_matches_reference_march(self, ex1_spec, thomas_reference, m,
-                                                   n_steps, a0, a1, phase):
+                                                   n_steps, a0, a1, phase, potential):
         # q = (1.99/h) v with |v| <= 1: every drift with |q| h <= 1.99, not only admissible ones
+        ex1_spec = replace(ex1_spec, potential=potential)
         grids = dr.build_grids(m, n_steps, ex1_spec.horizon)
         x = grids.space.nodes
         v = (a0 + a1 * np.sin(2.0 * np.pi * x + phase)) / max(1.0, abs(a0) + a1)
